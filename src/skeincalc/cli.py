@@ -3,8 +3,8 @@
 Exit codes are a stable contract: 0 all checks pass, 1 a verification or
 constraint failed, 2 usage error (bad bounds, bad sequence file, crossing
 cap exceeded).  Output is deterministic: basis elements in canonical
-order, exponents ascending, byte-identical across runs and across worker
-counts.
+order, exponents ascending, byte-identical across runs and for every
+--jobs value.
 """
 
 from __future__ import annotations
@@ -31,7 +31,15 @@ from .positivity import (
     q_constraints,
     structure_constant_audit,
 )
-from .sequences import CHEBYSHEV, POWER, CustomSequence, SequenceSpec, UniPoly, chebyshev
+from .sequences import (
+    CHEBYSHEV,
+    POWER,
+    CustomSequence,
+    MissingEntry,
+    SequenceSpec,
+    UniPoly,
+    chebyshev,
+)
 from .skein import (
     CrossingCapExceeded,
     DEFAULT_CROSSING_CAP,
@@ -88,7 +96,7 @@ def load_sequence(spec: str) -> SequenceSpec:
         raise UsageError(f"sequence file {spec!r} is not valid JSON: {exc}") from exc
 
     def coeff(entry) -> LaurentPoly:
-        if isinstance(entry, int):
+        if isinstance(entry, int) and not isinstance(entry, bool):
             return LaurentPoly(entry)
         if isinstance(entry, dict):
             return LaurentPoly.from_json_dict(entry)
@@ -448,7 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_CROSSING_CAP,
             help=f"crossing-count cap for full expansion (default {DEFAULT_CROSSING_CAP})",
         )
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="accepted for compatibility (must be >= 1); no effect on output or processes",
+        )
         p.add_argument(
             "--q1", action="store_true", help="specialize all reports at q = 1"
         )
@@ -529,7 +542,7 @@ def run(cfg: RunConfig) -> int:
         if cfg.cap < 0:
             raise UsageError("--cap must be >= 0")
         ok, text = _COMMANDS[cfg.command](cfg)
-    except UsageError as exc:
+    except (UsageError, MissingEntry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrossingCapExceeded as exc:

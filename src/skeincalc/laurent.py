@@ -10,7 +10,10 @@ checks here.
 
 from __future__ import annotations
 
+import re
 from typing import Mapping
+
+_EXPONENT = re.compile(r"-?[0-9]+")
 
 
 class LaurentPoly:
@@ -143,6 +146,9 @@ class LaurentPoly:
         return self._terms == o._terms
 
     def __hash__(self) -> int:
+        # Constants compare equal to ints, so they must hash like them.
+        if not self._terms.keys() - {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __reduce__(self):
@@ -156,7 +162,22 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, int]) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data.items()})
+        """Inverse of to_json_dict; anything but exact integers is rejected.
+
+        Keys must be decimal integer strings naming distinct exponents and
+        values must be ints (not bools), so no input is rounded.
+        """
+        terms: dict[int, int] = {}
+        for e, c in data.items():
+            if not isinstance(e, str) or not _EXPONENT.fullmatch(e):
+                raise ValueError(f"exponent key {e!r} is not a decimal integer")
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError(f"coefficient {c!r} of q^{e} is not an integer")
+            exponent = int(e)
+            if exponent in terms:
+                raise ValueError(f"exponent {exponent} appears twice")
+            terms[exponent] = c
+        return cls(terms)
 
     # -- rendering -----------------------------------------------------------
 

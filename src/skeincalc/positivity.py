@@ -35,6 +35,7 @@ from .laurent import LaurentPoly, ONE, ZERO, q_power
 from .sequences import CHEBYSHEV, POWER, SequenceSpec, to_basis
 from .skein import (
     DEFAULT_CROSSING_CAP,
+    check_jobs,
     grid_ideal,
     normal_form,
     resolve_all_mod,
@@ -244,6 +245,7 @@ def q_constraints(
     """
     if n < 1:
         raise ValueError("n must be positive")
+    check_jobs(jobs)
     if k_max is None:
         k_max = n
     if k_max < 1:

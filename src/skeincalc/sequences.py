@@ -93,7 +93,7 @@ class UniPoly:
         return hash(self._coeffs)
 
     def __reduce__(self):
-        return (UniPoly, (dict(self._coeffs) if isinstance(self._coeffs, dict) else self._coeffs,))
+        return (UniPoly, (self._coeffs,))
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -179,6 +179,10 @@ class PowerSequence(SequenceSpec):
         return power(n)
 
 
+class MissingEntry(ValueError):
+    """A custom sequence was asked for an index it does not define."""
+
+
 class CustomSequence(SequenceSpec):
     """A table of polynomials, optionally falling back to a base sequence.
 
@@ -213,7 +217,7 @@ class CustomSequence(SequenceSpec):
             return self._base.poly(n)
         if n == 0:
             return UniPoly([1])
-        raise ValueError(f"custom sequence has no entry for index {n}")
+        raise MissingEntry(f"custom sequence has no entry for index {n}")
 
 
 CHEBYSHEV = ChebyshevSequence()

@@ -1,8 +1,15 @@
 """Full Kauffman resolution of diagrams into exact skein vectors.
 
-A diagram with c crossings expands into all 2^c crossingless states; a
-state resolved with j positive and c-j negative smoothings contributes
-q^(j-(c-j)) times its normal form.  Normal forms per surface:
+A diagram with c crossings expands into 2^c crossingless states; a state
+resolved with j positive and c-j negative smoothings contributes
+q^(j-(c-j)) times its normal form.  The sum is computed one crossing at
+a time over a frontier of partially resolved states (the local gluing of
+Bar-Natan, "Fast Khovanov homology computations", arXiv:math/0606318):
+states that agree so far are merged, trivial loops are factored out as
+they close, and disk states die as soon as a finished arc is a trivial
+arc or an ideal generator.  The 2^c scan (_Scanner, _scan_range) is kept
+as the brute-force reference that tests compare against.  Normal forms
+per surface:
 
 * annulus: winding-0 loops each contribute the scalar -q^2 - q^-2; the
   surviving core-parallel loops give the basis element z^m;
@@ -21,8 +28,8 @@ contains a chord between the generator's endpoint pair.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .diagram import (
@@ -204,7 +211,7 @@ class SkeinVector:
         return hash(frozenset(self._terms.items()))
 
     def __reduce__(self):
-        return (SkeinVector, (dict(self._terms) if isinstance(self._terms, dict) else self._terms,))
+        return (SkeinVector, (self._terms,))
 
     def to_json_list(self) -> list[dict]:
         return [
@@ -512,18 +519,128 @@ def _scan_range(
     return acc
 
 
-def _merge_raw(
-    target: dict[BasisElement, dict[int, int]],
-    part: dict[BasisElement, dict[int, int]],
+def check_jobs(jobs: int) -> None:
+    """The jobs keyword is kept for compatibility: it must be >= 1, and it
+    changes neither the result nor the processes used."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+
+
+@lru_cache(maxsize=None)
+def _loop_terms(t: int) -> tuple[tuple[int, int], ...]:
+    """The terms of (-q^2 - q^-2)^t."""
+    return (LOOP_VALUE**t).items()
+
+
+def _accumulate(
+    bucket: dict[int, int], weight: dict[int, int], shift: int, trivial: int
 ) -> None:
-    for elem, terms in part.items():
-        bucket = target.setdefault(elem, {})
-        for e, coeff in terms.items():
-            s = bucket.get(e, 0) + coeff
+    """bucket += q^shift * (-q^2 - q^-2)^trivial * weight, on raw term dicts."""
+    for e, coeff in weight.items():
+        for de, dc in _loop_terms(trivial):
+            k = e + shift + de
+            s = bucket.get(k, 0) + coeff * dc
             if s:
-                bucket[e] = s
+                bucket[k] = s
             else:
-                del bucket[e]
+                del bucket[k]
+
+
+def _frontier_resolve(
+    d: Diagram, ideal: IdealSpec | None
+) -> dict[BasisElement, dict[int, int]]:
+    """Resolve the crossings one at a time, merging equal partial states.
+
+    A partial state is the set of open paths that pass through at least
+    one resolved crossing, each (node_a, node_b, seam winding from a to b)
+    with node_a < node_b, plus the number of essential loops closed so
+    far; edges that touch no resolved crossing are the same in every
+    state and stay implicit.  Its value is the raw {exponent:
+    coefficient} weight summed over every choice of smoothings reaching
+    it.  A loop of winding 0 is factored out as -q^2 - q^-2 as soon as it
+    closes.  On a disk, a state dies as soon as a slot-to-slot path is
+    finished with both ends at one marked point, or between the endpoints
+    of an ideal generator: no later smoothing touches a finished path, so
+    pruning it early agrees with the 2^c state sum.  Surviving states go
+    through _reduce_state, the single reducer.  Pruned disk states skip
+    its checks; the only one that could fire there is the disk
+    StructureError for loops that wind, and validated disk diagrams have
+    zero seam counts, so their loops never wind.
+    """
+    sc = _Scanner(d)
+    to, w, slot_info = sc.to, sc.w, sc.slot_info
+    ports = 4 * sc.c
+    kills: set[tuple[int, int]] = set()
+    if isinstance(sc.surface, Disk):
+        gens = set(ideal.generators) if ideal is not None else set()
+        for a in sc.slot_nodes:
+            for b in sc.slot_nodes:
+                pa, pb = slot_info[a - ports][0], slot_info[b - ports][0]
+                if pa == pb or (pa, pb) in gens or (pb, pa) in gens:
+                    kills.add((a, b))
+    if any((s, to[s]) in kills for s in sc.slot_nodes):
+        return {}
+    frontier: dict[tuple, dict[int, int]] = {((), 0): {0: 1}}
+    for ci in range(sc.c):
+        smoothings = [
+            (shift, [(p, partner[p]) for p in range(4 * ci, 4 * ci + 4) if p < partner[p]])
+            for shift, partner in ((1, sc.pos), (-1, sc.neg))
+        ]
+        nxt: dict[tuple, dict[int, int]] = {}
+        for (paths, essential), weight in frontier.items():
+            if not weight:
+                continue
+            base: dict[int, tuple[int, int]] = {}
+            for a, b, x in paths:
+                base[a] = (b, x)
+                base[b] = (a, -x)
+            for shift, pairs in smoothings:
+                ends = dict(base)
+                trivial, ess = 0, essential
+                for p, r in pairs:
+                    # Join the path p -> x to the path r -> y through the crossing.
+                    x, wx = ends.pop(p) if p in ends else (to[p], w[p])
+                    if x == r:
+                        ends.pop(r, None)
+                        if wx == 0:
+                            trivial += 1
+                        elif abs(wx) == 1:
+                            ess += 1
+                        else:
+                            raise StructureError(f"embedded loops cannot wind {abs(wx)} times")
+                        continue
+                    ends.pop(x, None)
+                    y, wy = ends.pop(r) if r in ends else (to[r], w[r])
+                    ends.pop(y, None)
+                    if (x, y) in kills:
+                        break
+                    ends[x] = (y, wy - wx)
+                    ends[y] = (x, wx - wy)
+                else:
+                    key = (tuple(sorted((a, b, x) for a, (b, x) in ends.items() if a < b)), ess)
+                    _accumulate(nxt.setdefault(key, {}), weight, shift, trivial)
+        frontier = nxt
+    points = sc.points
+    order = {p: i for i, p in enumerate(points)}
+    acc: dict[BasisElement, dict[int, int]] = {}
+    for (paths, essential), weight in frontier.items():
+        if not weight:
+            continue
+        partner = {s: (to[s], w[s]) for s in sc.slot_nodes}
+        for a, b, x in paths:
+            partner[a] = (b, x)
+            partner[b] = (a, -x)
+        arcs = [
+            (*slot_info[s - ports], *slot_info[t - ports], wind)
+            for s, (t, wind) in partner.items()
+            if s < t
+        ]
+        elem, trivial = _reduce_state(
+            sc.surface, points, order, arcs, sc.base_loops + [1] * essential
+        )
+        if elem is not None:
+            _accumulate(acc.setdefault(elem, {}), weight, 0, trivial)
+    return acc
 
 
 def _resolve(
@@ -532,26 +649,15 @@ def _resolve(
     cap: int,
     jobs: int,
 ) -> SkeinVector:
+    check_jobs(jobs)
+    d.validate()
     c = d.crossing_count
     if c > cap:
         raise CrossingCapExceeded(
             f"diagram has {c} crossings; the expansion cap is {cap} "
             f"(2^{c} states exceed the configured budget)"
         )
-    total = 1 << c
-    if jobs <= 1 or total < 1024:
-        raw = _scan_range(d, 0, total, ideal)
-    else:
-        jobs = min(jobs, total)
-        bounds = [total * i // jobs for i in range(jobs + 1)]
-        raw = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_scan_range, d, bounds[i], bounds[i + 1], ideal)
-                for i in range(jobs)
-            ]
-            for f in futures:
-                _merge_raw(raw, f.result())
+    raw = _frontier_resolve(d, ideal)
     return SkeinVector({elem: LaurentPoly(terms) for elem, terms in raw.items()})
 
 
@@ -588,6 +694,7 @@ def theta_bullet(
     """
     from .diagram import build_theta_over_cores
 
+    check_jobs(jobs)
     out = SkeinVector.zero()
     for k in range(p.degree + 1):
         ck = p.coefficient(k)

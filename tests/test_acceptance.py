@@ -1,4 +1,4 @@
-"""Acceptance suite: the eight exit criteria, all exact, desk scale.
+"""Acceptance suite: the nine exit criteria, all exact, desk scale.
 
 Each test prints one pass/fail line; run with `pytest -s
 tests/test_acceptance.py` to see them.  Every comparison is exact ring
@@ -177,3 +177,24 @@ def test_criterion_8_invariant_suites(rng, capsys):
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["ok"] is True
     report(8, "ring axioms, cone closure, winding bounds, parallel determinism")
+
+
+def test_criterion_9_frontier_ranges():
+    t0 = time.perf_counter()
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            got = resolve_all_mod(build_xk_yn(k, n), grid_ideal(n), cap=64)
+            want = normal_form(build_zkn(k, n)).scaled(q_power(-k * n))
+            assert got == want, (k, n)
+    grid_s = time.perf_counter() - t0
+    assert grid_s < 30.0, f"grid sweep took {grid_s:.2f}s"
+    t0 = time.perf_counter()
+    for n in range(1, 21):
+        assert theta_bullet(chebyshev(n)) == theta_transport_target(n), n
+    transport_s = time.perf_counter() - t0
+    assert transport_s < 2.0, f"transport sweep took {transport_s:.2f}s"
+    report(
+        9,
+        f"x^k y_n quotient exact for k <= n <= 8 ({grid_s:.2f}s, up to 2^64 states); "
+        f"arc transport exact for n <= 20 ({transport_s:.2f}s)",
+    )

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import concurrent.futures
 import json
+import multiprocessing.process
 
 import pytest
 
@@ -127,6 +129,29 @@ class TestReports:
         assert code == 2
         assert "monic" in err
 
+    def test_float_coefficient_is_rejected(self, capsys, tmp_path):
+        seq = tmp_path / "f.json"
+        seq.write_text(json.dumps({"base": "chebyshev", "polys": {"1": [{"0": 0.7}, 1]}}))
+        code, out, err = run_cli(capsys, "minimality", "--seq", str(seq), "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "not an integer" in err
+
+    def test_bool_coefficient_is_rejected(self, capsys, tmp_path):
+        seq = tmp_path / "b.json"
+        seq.write_text(json.dumps([[1], [True, 1]]))
+        code, _, err = run_cli(capsys, "minimality", "--seq", str(seq), "--n", "1")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_list_shorter_than_n_is_two(self, capsys, tmp_path):
+        seq = tmp_path / "short.json"
+        seq.write_text(json.dumps([[1], [0, 1]]))
+        code, out, err = run_cli(capsys, "minimality", "--seq", str(seq), "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "index 2" in err
+
     def test_bare_list_sequence_with_laurent_coefficients(self, capsys, tmp_path):
         # P_2 = t^2 + (q + q^-1) has Chebyshev coordinates (2 + q + q^-1, 0, 1),
         # a nonnegative mix, so the loop condition is consistent.
@@ -179,6 +204,24 @@ class TestDeterminism:
         for jobs in ("1", "2"):
             code, out, _ = run_cli(
                 capsys, "verify-zkn", "--k", "2", "--n", "5", "--jobs", jobs
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_jobs_starts_no_process(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(
+            "skeincalc.skein.ProcessPoolExecutor", refuse, raising=False
+        )
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        outputs = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys, "verify-zkn", "--k", "4", "--n", "4", "--jobs", jobs
             )
             assert code == 0
             outputs.append(out)

@@ -110,6 +110,11 @@ class TestIdentity:
             b = LaurentPoly(a.terms())
             assert a == b and hash(a) == hash(b)
 
+    def test_constants_hash_like_ints(self):
+        assert len({LaurentPoly(3), 3}) == 1
+        assert hash(ZERO) == hash(0)
+        assert hash(LaurentPoly(-7)) == hash(-7)
+
     def test_immutability(self):
         with pytest.raises(AttributeError):
             Q._terms = {}
@@ -125,6 +130,25 @@ class TestSerialization:
         for _ in range(200):
             a = random_laurent(rng)
             assert LaurentPoly.from_json_dict(a.to_json_dict()) == a
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"0": 0.7},
+            {"0": 1.0},
+            {"0": "1"},
+            {"0": True},
+            {"0": None},
+            {"1.5": 1},
+            {"x": 1},
+            {" 1": 1},
+            {1: 1},
+            {"1": 1, "01": 2},
+        ],
+    )
+    def test_rejects_inexact_input(self, data):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json_dict(data)
 
     def test_big_coefficients(self):
         big = lp({0: 10**40, -7: -(3**80)})

@@ -1,17 +1,21 @@
 """The resolution engine: normal forms, full expansion, quotients."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import collect_loop_windings, enumerate_states, fold_resolve
 from skeincalc.diagram import (
     Annulus,
     Diagram,
+    Disk,
     build_core_stack,
     build_d1_xy,
     build_kink,
     build_theta_over_cores,
     build_xk_yn,
     build_zkn,
+    resolve_crossing,
 )
 from skeincalc.laurent import LaurentPoly, ONE, q_power
 from skeincalc.sequences import UniPoly, chebyshev, power
@@ -24,6 +28,7 @@ from skeincalc.skein import (
     LOOP_VALUE,
     SkeinVector,
     StructureError,
+    _scan_range,
     classify_components,
     full_boundary_ideal,
     grid_ideal,
@@ -166,6 +171,23 @@ class TestResolveAll:
         parallel = resolve_all(d, jobs=2)
         assert serial == parallel
 
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            resolve_all(build_kink(1), jobs=0)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            theta_bullet(UniPoly(), jobs=0)
+
+    def test_validates_before_resolving(self):
+        d = build_xk_yn(2, 2)
+        broken = Diagram(
+            surface=d.surface,
+            crossings=d.crossings,
+            edges=frozenset(sorted(d.edges, key=lambda e: (e.a, e.b))[1:]),
+            slots=d.slots,
+        )
+        with pytest.raises(ValueError, match="edge ends do not cover every port"):
+            resolve_all(broken)
+
     def test_annulus_windings_stay_small(self):
         for k in range(4):
             assert collect_loop_windings(build_theta_over_cores(k)) <= {0, 1}
@@ -260,3 +282,48 @@ class TestSkeinVector:
         assert elem.label() == "chords[(p0,q1),(p1,p2)]"
         ((elem2, _),) = normal_form(build_zkn(2, 2)).items()
         assert "@" in elem2.label()
+
+
+def scan_oracle(d, ideal=None) -> SkeinVector:
+    """The brute-force 2^c state scan as a SkeinVector."""
+    raw = _scan_range(d, 0, 1 << d.crossing_count, ideal)
+    return SkeinVector({elem: LaurentPoly(terms) for elem, terms in raw.items()})
+
+
+@st.composite
+def partial_diagrams(draw):
+    """A builder diagram with a random subset of its crossings resolved
+    with random signs, and on marked disks a random set of boundary-arc
+    generators (None when the set is empty)."""
+    family = draw(st.sampled_from(("xkyn", "theta", "kink")))
+    if family == "xkyn":
+        d = build_xk_yn(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    elif family == "theta":
+        d = build_theta_over_cores(draw(st.integers(0, 6)))
+    else:
+        d = build_kink(draw(st.sampled_from((1, -1))))
+    for cr in d.crossings:
+        sign = draw(st.sampled_from((0, 1, -1)))
+        if sign:
+            d = resolve_crossing(d, cr.id, sign)
+    ideal = None
+    if isinstance(d.surface, Disk) and d.surface.points:
+        pts = d.surface.points
+        adjacent = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
+        gens = draw(st.lists(st.sampled_from(adjacent), max_size=4, unique=True))
+        if gens:
+            ideal = IdealSpec.of_pairs(gens)
+    return d, ideal
+
+
+class TestFrontierAgainstOracles:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(partial_diagrams())
+    def test_matches_scan_and_fold(self, case):
+        d, ideal = case
+        if ideal is None:
+            got = resolve_all(d)
+            assert got == fold_resolve(d)
+        else:
+            got = resolve_all_mod(d, ideal)
+        assert got == scan_oracle(d, ideal)
