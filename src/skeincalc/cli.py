@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -71,6 +72,9 @@ class RunConfig:
     diagram_check: bool = False
 
 
+_INDEX = re.compile(r"0|[1-9][0-9]*")
+
+
 class UsageError(Exception):
     """Bad bounds or configuration; maps to exit code 2."""
 
@@ -80,8 +84,9 @@ def load_sequence(spec: str) -> SequenceSpec:
 
     The file holds either a list of coefficient arrays indexed by degree,
     or {"base": "chebyshev"|"power", "polys": {"n": [coeffs...]}} to
-    override single entries.  A coefficient is an int or an {exponent:
-    int} object.
+    override single entries, where "n" is a canonical decimal index (no
+    sign, space or leading zero).  A coefficient is an int or an
+    {exponent: int} object.
     """
     if spec == "chebyshev":
         return CHEBYSHEV
@@ -117,8 +122,16 @@ def load_sequence(spec: str) -> SequenceSpec:
                 if base_name not in ("chebyshev", "power"):
                     raise UsageError(f"unknown base sequence {base_name!r}")
                 base = CHEBYSHEV if base_name == "chebyshev" else POWER
-            polys = {int(i): poly(p) for i, p in data.get("polys", {}).items()}
-            return CustomSequence(polys, base=base)
+            polys = data.get("polys", {})
+            if not isinstance(polys, dict):
+                raise UsageError(f'"polys" in {spec!r} must be an object')
+            for key in polys:
+                if not _INDEX.fullmatch(key):
+                    raise UsageError(
+                        f"polys key {key!r} in {spec!r} is not a canonical "
+                        "nonnegative decimal index"
+                    )
+            return CustomSequence({int(k): poly(p) for k, p in polys.items()}, base=base)
     except ValueError as exc:
         raise UsageError(f"invalid sequence in {spec!r}: {exc}") from exc
     raise UsageError(f"sequence file {spec!r} must hold a list or an object")

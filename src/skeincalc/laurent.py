@@ -11,7 +11,8 @@ checks here.
 from __future__ import annotations
 
 import re
-from typing import Mapping
+from operator import index
+from typing import Iterable, Mapping
 
 _EXPONENT = re.compile(r"-?[0-9]+")
 
@@ -19,22 +20,35 @@ _EXPONENT = re.compile(r"-?[0-9]+")
 class LaurentPoly:
     """An element of Z[q, q^-1], stored sparsely as {exponent: coefficient}.
 
-    Values are immutable by convention; zero coefficients are never stored,
-    so equality and hashing are structural.  Coefficients are Python ints,
-    hence arbitrary precision.
+    Values are immutable by convention.  Coefficients are Python ints,
+    hence arbitrary precision.  No zero coefficient is ever stored: the
+    public constructor drops zeros, and every internal constructor
+    (`_adopt`) is handed a dict that already holds none.  `is_zero`,
+    `is_positive`, `__eq__` and `__hash__` rely on this invariant, so
+    equality and hashing are structural.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | int | None = None):
+        """Validating entry: exponents and coefficients must be exact
+        integers (`operator.index`), so a float raises TypeError instead
+        of being truncated."""
         if terms is None:
             object.__setattr__(self, "_terms", {})
         elif isinstance(terms, int):
-            object.__setattr__(self, "_terms", {0: terms} if terms else {})
+            object.__setattr__(self, "_terms", {0: index(terms)} if terms else {})
         else:
-            object.__setattr__(
-                self, "_terms", {int(e): int(c) for e, c in terms.items() if c}
-            )
+            exact = ((index(e), index(c)) for e, c in terms.items())
+            object.__setattr__(self, "_terms", {e: c for e, c in exact if c})
+
+    @classmethod
+    def _adopt(cls, terms: dict[int, int]) -> "LaurentPoly":
+        """Wrap a freshly built dict of nonzero int terms, without copying
+        or checking it; the caller gives up the dict."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -78,42 +92,54 @@ class LaurentPoly:
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
-        return LaurentPoly(out)
+                del out[e]
+        return LaurentPoly._adopt(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._adopt({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        out = dict(self._terms)
+        for e, c in o._terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return LaurentPoly._adopt(out)
 
     def __rsub__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other) -> "LaurentPoly":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in o._terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly(out)
+        return LaurentPoly.dot(((self, o),))
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs: Iterable[tuple["LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
+        """sum(a * b for a, b in pairs), accumulated in one dict: zeros are
+        dropped once at the end and one object is built."""
+        acc: dict[int, int] = {}
+        get = acc.get
+        for a, b in pairs:
+            bt = b._terms.items()
+            for e1, c1 in a._terms.items():
+                for e2, c2 in bt:
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._adopt({e: c for e, c in acc.items() if c})
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -125,7 +151,7 @@ class LaurentPoly:
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiplication by the unit q^k."""
-        return LaurentPoly({e + k: c for e, c in self._terms.items()})
+        return LaurentPoly._adopt({e + k: c for e, c in self._terms.items()})
 
     # -- the positive cone and the q=1 specialization ------------------------
 

@@ -6,11 +6,18 @@ Chebyshev-style sequence T_0 = 1, T_1 = t, T_2 = t^2 - 2, and
 T_n = t*T_{n-1} - T_{n-2} from there on, and the power sequence t^n.
 Everything else is exact basis conversion between such sequences, which is
 plain back-substitution against monic leading terms.
+
+`UniPoly` products and `to_basis` build each output coefficient with one
+`LaurentPoly.dot` over the pairs that contribute to it, so no
+intermediate polynomial is formed: the coefficient of t^k in a * b is
+dot over a_i, b_j with i + j = k, and the basis coordinate c_j is p_j
+minus dot over c_k, seq[k]_j with k > j.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 from .laurent import LaurentPoly, ONE, ZERO
@@ -69,15 +76,17 @@ class UniPoly:
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
-            if self.is_zero() or other.is_zero():
+            a = [(i, c) for i, c in enumerate(self._coeffs) if c]
+            b = [(j, c) for j, c in enumerate(other._coeffs) if c]
+            if not a or not b:
                 return UniPoly()
-            out = [ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a.is_zero():
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return UniPoly(out)
+            pairs: list[list[tuple[LaurentPoly, LaurentPoly]]] = [
+                [] for _ in range(len(self._coeffs) + len(other._coeffs) - 1)
+            ]
+            for i, x in a:
+                for j, y in b:
+                    pairs[i + j].append((x, y))
+            return UniPoly([LaurentPoly.dot(ps) for ps in pairs])
         if isinstance(other, (LaurentPoly, int)):
             return UniPoly([c * other for c in self._coeffs])
         return NotImplemented
@@ -198,7 +207,7 @@ class CustomSequence(SequenceSpec):
     ):
         table = {}
         for n, p in polys.items():
-            n = int(n)
+            n = index(n)
             if n < 0:
                 raise ValueError("sequence indices must be nonnegative")
             if p.degree != n or not p.is_monic():
@@ -227,17 +236,24 @@ POWER = PowerSequence()
 def to_basis(p: UniPoly, seq: SequenceSpec) -> list[LaurentPoly]:
     """Coefficients c_k with p = sum c_k * seq[k]; exact, length deg(p)+1.
 
-    Back-substitution from the top degree down; each seq[k] is monic of
-    degree k, so the degree-k coefficient of the residual is c_k.
+    Back-substitution from the top degree down: seq[k] is monic of degree
+    k, so c_j = p_j - sum_{k>j} c_k * seq[k]_j, one `dot` per coefficient.
+    seq[k] is read only where c_k is nonzero.
     """
-    deg = p.degree
-    out = [ZERO] * (deg + 1)
-    residual = p
-    for i in range(deg, -1, -1):
-        ci = residual.coefficient(i)
-        out[i] = ci
-        if not ci.is_zero():
-            residual = residual - seq[i] * ci
+    out = list(p.coeffs)
+    used: list[tuple[LaurentPoly, tuple[LaurentPoly, ...]]] = []
+    residual = UniPoly()
+    for j in range(len(out) - 1, -1, -1):
+        cj = out[j] = out[j] - LaurentPoly.dot((c, row[j]) for c, row in used)
+        if not cj:
+            continue
+        row = seq[j].coeffs
+        if len(row) != j + 1 or row[j] != ONE:
+            # seq[j] breaks the contract: what it holds at and above t^j,
+            # other than t^j itself, is never subtracted.
+            residual = residual + (power(j) - UniPoly([ZERO] * j + list(row[j:]))) * cj
+            row += (ZERO,) * (j + 1 - len(row))
+        used.append((cj, row))
     if not residual.is_zero():
         raise AssertionError("basis conversion left a nonzero residual")
     return out

@@ -38,6 +38,7 @@ from .diagram import (
     Disk,
     MarkedAnnulus,
     Surface,
+    build_theta_over_cores,
     smoothing_pairs,
     surface_points,
 )
@@ -684,6 +685,16 @@ def resolve_all_mod(
 # -- the transport operator ------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _theta_over_cores(k: int, cap: int) -> SkeinVector:
+    """The arc over k core loops, resolved once per (k, cap).
+
+    SkeinVector is immutable, so the cached value is safe to share; a
+    CrossingCapExceeded is raised again on every call, never cached.
+    """
+    return resolve_all(build_theta_over_cores(k), cap=cap)
+
+
 def theta_bullet(
     p: UniPoly, *, cap: int = DEFAULT_CROSSING_CAP, jobs: int = 1
 ) -> SkeinVector:
@@ -692,15 +703,13 @@ def theta_bullet(
     Linear in p: each power t^k contributes its coefficient times the full
     resolution of the arc over k core loops.
     """
-    from .diagram import build_theta_over_cores
-
     check_jobs(jobs)
     out = SkeinVector.zero()
     for k in range(p.degree + 1):
         ck = p.coefficient(k)
         if ck.is_zero():
             continue
-        out = out + resolve_all(build_theta_over_cores(k), cap=cap, jobs=jobs).scaled(ck)
+        out = out + _theta_over_cores(k, cap).scaled(ck)
     return out
 
 

@@ -152,6 +152,25 @@ class TestReports:
         assert out == ""
         assert err.startswith("error:") and "index 2" in err
 
+    @pytest.mark.parametrize(
+        "polys",
+        [
+            {" 1": [0, 1], "1": [5, 1]},
+            {"01": [0, 1]},
+            {"+1": [0, 1]},
+            {"1 ": [0, 1]},
+            {"": [1]},
+            [[1], [0, 1]],
+        ],
+    )
+    def test_non_canonical_polys_keys_are_two(self, capsys, tmp_path, polys):
+        seq = tmp_path / "keys.json"
+        seq.write_text(json.dumps({"base": "chebyshev", "polys": polys}))
+        code, out, err = run_cli(capsys, "minimality", "--seq", str(seq), "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_bare_list_sequence_with_laurent_coefficients(self, capsys, tmp_path):
         # P_2 = t^2 + (q + q^-1) has Chebyshev coordinates (2 + q + q^-1, 0, 1),
         # a nonnegative mix, so the loop condition is consistent.

@@ -54,6 +54,24 @@ class TestArithmetic:
             assert a * (b + c) == a * b + a * c
             assert a + ZERO == a
             assert a * ONE == a
+            assert a - b == a + (-b)
+            assert b - a == -(a - b)
+            for x in (a + b, a - b, a * b, -a, a.shifted(3)):
+                assert 0 not in x.terms().values()
+
+    def test_dot_is_sum_of_products(self, rng):
+        for _ in range(100):
+            pairs = [(random_laurent(rng), random_laurent(rng)) for _ in range(rng.randint(0, 4))]
+            want = ZERO
+            for a, b in pairs:
+                want = want + a * b
+            got = LaurentPoly.dot(pairs)
+            assert got == want
+            assert 0 not in got.terms().values()
+
+    def test_dot_cancels_to_zero(self):
+        assert LaurentPoly.dot([(Q, Q), (-Q, Q)]) == ZERO
+        assert LaurentPoly.dot([]).is_zero()
 
 
 class TestPositiveCone:
@@ -103,6 +121,17 @@ class TestIdentity:
         assert lp({1: 0, 2: 3}) == lp({2: 3})
         assert lp({0: 0}) == ZERO
         assert not lp({0: 0})
+
+    @pytest.mark.parametrize(
+        "terms", [{0: 0.7}, {0: 1.0}, {0: "1"}, {0.5: 1}, {"1": 1}, {0: None}]
+    )
+    def test_constructor_takes_exact_input_only(self, terms):
+        with pytest.raises(TypeError):
+            LaurentPoly(terms)
+
+    def test_bool_constant_is_stored_as_int(self):
+        assert type(LaurentPoly(True).coefficient(0)) is int
+        assert LaurentPoly(True).to_json_dict() == {"0": 1}
 
     def test_hashable_and_structural(self, rng):
         for _ in range(100):

@@ -8,6 +8,7 @@ from skeincalc.sequences import (
     CHEBYSHEV,
     POWER,
     CustomSequence,
+    SequenceSpec,
     UniPoly,
     chebyshev,
     from_basis,
@@ -75,6 +76,40 @@ class TestToBasis:
                 assert to_basis(from_basis(coeffs, seq), seq) == coeffs
 
 
+class _Table(SequenceSpec):
+    """A bare lookup table that skips the monic-of-degree-n checks."""
+
+    def __init__(self, *polys):
+        self.polys = polys
+
+    def poly(self, n):
+        return self.polys[n]
+
+
+class TestToBasisResidual:
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            _Table(UniPoly([1]), UniPoly([0, 2])),
+            _Table(UniPoly([1]), UniPoly([0, 1, 1])),
+            _Table(UniPoly([1]), UniPoly([1])),
+        ],
+    )
+    def test_broken_sequence_leaves_a_residual(self, seq):
+        with pytest.raises(AssertionError, match="nonzero residual"):
+            to_basis(UniPoly([0, 1]), seq)
+
+    def test_cancelling_excess_is_exact(self):
+        seq = _Table(UniPoly([1, 0, 0, -1]), UniPoly([0, 1, 0, 1]))
+        p = UniPoly([1, 1])
+        assert to_basis(p, seq) == [ONE, ONE]
+        assert from_basis([ONE, ONE], seq) == p
+
+    def test_reads_only_entries_it_needs(self):
+        seq = CustomSequence({2: UniPoly([0, 1, 1])})
+        assert to_basis(UniPoly([0, 2, 2]), seq) == [ZERO, ZERO, LaurentPoly(2)]
+
+
 class TestProductInBasis:
     def test_cheb_2_times_1(self):
         coeffs = product_in_basis(CHEBYSHEV, 2, 1)
@@ -125,6 +160,10 @@ class TestCustomSequence:
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
             CustomSequence({2: UniPoly([0, 1])})
+
+    def test_rejects_inexact_index(self):
+        with pytest.raises(TypeError):
+            CustomSequence({1.5: UniPoly([0, 1])})
 
     def test_rejects_bad_constant(self):
         with pytest.raises(ValueError):

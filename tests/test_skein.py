@@ -17,6 +17,7 @@ from skeincalc.diagram import (
     build_zkn,
     resolve_crossing,
 )
+from skeincalc import skein
 from skeincalc.laurent import LaurentPoly, ONE, q_power
 from skeincalc.sequences import UniPoly, chebyshev, power
 from skeincalc.skein import (
@@ -244,6 +245,29 @@ class TestThetaBullet:
     def test_transport_identity_through_6(self):
         for n in range(1, 7):
             assert theta_bullet(chebyshev(n)) == theta_transport_target(n), n
+
+    def test_each_diagram_resolved_once(self, monkeypatch):
+        calls = []
+        real = skein._resolve
+
+        def counting(*args):
+            calls.append(args[0].crossing_count)
+            return real(*args)
+
+        monkeypatch.setattr(skein, "_resolve", counting)
+        skein._theta_over_cores.cache_clear()
+        try:
+            for j in range(1, 15):
+                assert theta_bullet(chebyshev(j)) == theta_transport_target(j), j
+        finally:
+            skein._theta_over_cores.cache_clear()
+        assert sorted(calls) == list(range(15))
+
+    def test_cap_refusal_is_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(CrossingCapExceeded):
+                theta_bullet(power(3), cap=2)
+        assert theta_bullet(power(3), cap=3) == theta_bullet(power(3))
 
     def test_laurent_coefficients_pass_through(self):
         p = UniPoly([LaurentPoly({2: 3}), 0, ONE])
