@@ -27,6 +27,8 @@ from .diagram import (
 )
 from .laurent import LaurentPoly, q_power
 from .positivity import (
+    CONSISTENT,
+    AuditReport,
     ConstraintReport,
     minimality_constraints,
     q_constraints,
@@ -200,7 +202,7 @@ def emit_report(report, fmt: str, q1: bool = False) -> str:
             ]
             return "\n".join(rows) if rows else "0"
         return render_vector(report, q1)
-    if isinstance(report, tuple):  # audit rows
+    if isinstance(report, AuditReport):
         return _emit_audit(report, fmt)
     raise TypeError(f"no renderer for {type(report).__name__}")
 
@@ -243,19 +245,17 @@ def _emit_identity(report: IdentityReport, fmt: str, q1: bool) -> str:
 
 
 def _emit_constraints(report: ConstraintReport, fmt: str, q1: bool) -> str:
-    conclusion = report.conclusion_at_q1() if q1 else report.conclusion
     if fmt == "json":
-        data = report.to_json_dict(q1)
-        data["conclusion"] = conclusion
-        return json.dumps(data, indent=2)
+        return json.dumps(report.to_json_dict(q1), indent=2)
+    conclusion = report.conclusion_for(q1)
     rows = []
     for x in report.constraints:
+        mark = "PASS" if x.passes(q1) else "FAIL"
         if x.kind == "identity":
-            rows.append((x.label, "exact", "identity", "PASS" if x.satisfied else "FAIL"))
+            rows.append((x.label, "exact", "identity", mark))
             continue
-        ok = (x.value.eval_q1() >= 0) if q1 else x.satisfied
         value = str(x.value.eval_q1()) if q1 else str(x.value)
-        rows.append((x.label, value, "Z_+" if q1 else "R_+", "PASS" if ok else "FAIL"))
+        rows.append((x.label, value, "Z_+" if q1 else "R_+", mark))
     if fmt == "tsv":
         lines = ["\t".join(r) for r in rows]
         lines.append(f"conclusion\t{conclusion}")
@@ -275,8 +275,8 @@ def _emit_constraints(report: ConstraintReport, fmt: str, q1: bool) -> str:
     return "\n".join(lines)
 
 
-def _emit_audit(rows, fmt: str) -> str:
-    ok = all(r.all_positive for r in rows)
+def _emit_audit(report: AuditReport, fmt: str) -> str:
+    rows, ok = report.rows, report.ok()
     if fmt == "json":
         return json.dumps(
             {
@@ -360,8 +360,8 @@ def _cmd_audit(cfg: RunConfig) -> tuple[bool, str]:
     if cfg.max_n is None or cfg.max_n < 1:
         raise UsageError("audit needs --max-n >= 1")
     seq = load_sequence(cfg.seq)
-    rows = structure_constant_audit(seq, cfg.max_n)
-    return all(r.all_positive for r in rows), emit_report(rows, cfg.fmt, cfg.q1)
+    report = structure_constant_audit(seq, cfg.max_n)
+    return report.ok(), emit_report(report, cfg.fmt, cfg.q1)
 
 
 def _cmd_minimality(cfg: RunConfig) -> tuple[bool, str]:
@@ -369,7 +369,7 @@ def _cmd_minimality(cfg: RunConfig) -> tuple[bool, str]:
         raise UsageError("minimality needs --n >= 1")
     seq = load_sequence(cfg.seq)
     report = minimality_constraints(seq, cfg.n)
-    ok = (report.conclusion_at_q1() if cfg.q1 else report.conclusion) == "consistent"
+    ok = report.conclusion_for(cfg.q1) == CONSISTENT
     return ok, emit_report(report, cfg.fmt, cfg.q1)
 
 
@@ -387,7 +387,7 @@ def _cmd_arc_constraints(cfg: RunConfig) -> tuple[bool, str]:
         cap=cfg.cap,
         jobs=cfg.jobs,
     )
-    ok = (report.conclusion_at_q1() if cfg.q1 else report.conclusion) == "consistent"
+    ok = report.conclusion_for(cfg.q1) == CONSISTENT
     return ok, emit_report(report, cfg.fmt, cfg.q1)
 
 

@@ -11,8 +11,8 @@ checks here.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from operator import index
-from typing import Iterable, Mapping
 
 _EXPONENT = re.compile(r"-?[0-9]+")
 
@@ -33,14 +33,17 @@ class LaurentPoly:
     def __init__(self, terms: Mapping[int, int] | int | None = None):
         """Validating entry: exponents and coefficients must be exact
         integers (`operator.index`), so a float raises TypeError instead
-        of being truncated."""
+        of being truncated; so does anything but None, an int or a
+        mapping."""
         if terms is None:
             object.__setattr__(self, "_terms", {})
         elif isinstance(terms, int):
             object.__setattr__(self, "_terms", {0: index(terms)} if terms else {})
-        else:
+        elif isinstance(terms, Mapping):
             exact = ((index(e), index(c)) for e, c in terms.items())
             object.__setattr__(self, "_terms", {e: c for e, c in exact if c})
+        else:
+            raise TypeError(f"cannot build a LaurentPoly from {type(terms).__name__}")
 
     @classmethod
     def _adopt(cls, terms: dict[int, int]) -> "LaurentPoly":

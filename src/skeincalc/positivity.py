@@ -130,6 +130,12 @@ class Constraint:
     satisfied: bool
     kind: str = "positivity"
 
+    def passes(self, q1: bool = False) -> bool:
+        """An identity must hold; a value must lie in R_+, or at q = 1 in Z_+."""
+        if self.kind == "identity" or not q1:
+            return self.satisfied
+        return self.value.eval_q1() >= 0
+
 
 @dataclass(frozen=True)
 class ConstraintReport:
@@ -164,22 +170,19 @@ class ConstraintReport:
                     "required": "identity"
                     if x.kind == "identity"
                     else ("Z_+" if q1 else "R_+"),
-                    "ok": x.satisfied
-                    if x.kind == "identity"
-                    else ((x.value.eval_q1() >= 0) if q1 else x.satisfied),
+                    "ok": x.passes(q1),
                 }
                 for x in self.constraints
             ],
-            "conclusion": self.conclusion,
+            "conclusion": self.conclusion_for(q1),
         }
 
-    def conclusion_at_q1(self) -> str:
-        """The conclusion with every positivity requirement read over Z."""
-        bad = any(
-            (not x.satisfied) if x.kind == "identity" else (x.value.eval_q1() < 0)
-            for x in self.constraints
-        )
-        if bad:
+    def conclusion_for(self, q1: bool = False) -> str:
+        """The conclusion, with every positivity requirement read over Z
+        when q1 is set."""
+        if not q1:
+            return self.conclusion
+        if not all(x.passes(True) for x in self.constraints):
             return CONTRADICTION
         if self.a is not None and self.a.eval_q1() != 0:
             return FORCES_A_ZERO
@@ -286,7 +289,22 @@ class AuditRow:
     all_positive: bool
 
 
-def structure_constant_audit(seq: SequenceSpec, max_n: int) -> tuple[AuditRow, ...]:
+class AuditReport:
+    """One row per product seq[m] * seq[n] with m <= n <= max_n.
+
+    A plain class, not a dataclass: building a dataclass costs about a
+    millisecond at import, on every CLI start-up."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[AuditRow, ...]):
+        self.rows = rows
+
+    def ok(self) -> bool:
+        return all(r.all_positive for r in self.rows)
+
+
+def structure_constant_audit(seq: SequenceSpec, max_n: int) -> AuditReport:
     """Positivity of every structure constant of seq on the loop algebra
     of the annulus, for all products up to max_n."""
     if max_n < 1:
@@ -298,4 +316,4 @@ def structure_constant_audit(seq: SequenceSpec, max_n: int) -> tuple[AuditRow, .
         for n in range(m, max_n + 1):
             coeffs = product_in_basis(seq, m, n)
             rows.append(AuditRow(m, n, all(x.is_positive() for x in coeffs)))
-    return tuple(rows)
+    return AuditReport(tuple(rows))

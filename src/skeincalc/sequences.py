@@ -5,18 +5,21 @@ with the 0-th entry the constant 1.  Two built-ins matter here: the
 Chebyshev-style sequence T_0 = 1, T_1 = t, T_2 = t^2 - 2, and
 T_n = t*T_{n-1} - T_{n-2} from there on, and the power sequence t^n.
 Everything else is exact basis conversion between such sequences, which is
-plain back-substitution against monic leading terms.
+division by remainder against monic leading terms.
 
-`UniPoly` products and `to_basis` build each output coefficient with one
-`LaurentPoly.dot` over the pairs that contribute to it, so no
-intermediate polynomial is formed: the coefficient of t^k in a * b is
-dot over a_i, b_j with i + j = k, and the basis coordinate c_j is p_j
-minus dot over c_k, seq[k]_j with k > j.
+All `UniPoly` ring work goes through one kernel, `_addmul`, on a working
+buffer: a list with one mutable {exponent: int} dict per power of t.  It
+adds sign * c * row[i] into slot shift + i in place.  A product is one
+`_addmul` per nonzero coefficient of the left factor; `to_basis` walks
+the buffer from the top degree down and subtracts c_j * seq[j] wherever
+slot j is nonzero, so what is left is exactly p - sum c_k * seq[k];
+`product_in_basis` reduces the product buffer in place and never builds
+the product polynomial.  Each slot becomes a `LaurentPoly` once, at the
+end, with its cancelled zeros dropped.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import index
 from typing import Iterable, Mapping, Sequence
 
@@ -63,32 +66,23 @@ class UniPoly:
     def __add__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return UniPoly([self.coefficient(i) + other.coefficient(i) for i in range(n)])
+        return _linear(((ONE, self._coeffs, 1), (ONE, other._coeffs, 1)))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self._coeffs])
+        return _linear(((ONE, self._coeffs, -1),))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self + (-other)
+        return _linear(((ONE, self._coeffs, 1), (ONE, other._coeffs, -1)))
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
-            a = [(i, c) for i, c in enumerate(self._coeffs) if c]
-            b = [(j, c) for j, c in enumerate(other._coeffs) if c]
-            if not a or not b:
-                return UniPoly()
-            pairs: list[list[tuple[LaurentPoly, LaurentPoly]]] = [
-                [] for _ in range(len(self._coeffs) + len(other._coeffs) - 1)
-            ]
-            for i, x in a:
-                for j, y in b:
-                    pairs[i + j].append((x, y))
-            return UniPoly([LaurentPoly.dot(ps) for ps in pairs])
-        if isinstance(other, (LaurentPoly, int)):
-            return UniPoly([c * other for c in self._coeffs])
+            return _finish(_product(self._coeffs, other._coeffs))
+        if isinstance(other, int):
+            other = LaurentPoly(other)
+        if isinstance(other, LaurentPoly):
+            return _linear(((other, self._coeffs, 1),))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -134,29 +128,89 @@ class UniPoly:
         return f"UniPoly('{self}')"
 
 
+# -- the working buffer ----------------------------------------------------------
+
+Row = Sequence[LaurentPoly]
+
+
+def _addmul(acc: list[dict[int, int]], shift: int, c: LaurentPoly, row: Row, sign: int) -> None:
+    """acc[shift + i] += sign * c * row[i] for every i, in place.
+
+    acc holds one {exponent: int} dict per power of t and is extended when
+    row reaches past its end.  Cancelled terms stay behind as stored
+    zeros until `_finish` or `_reduce` reads the slot.
+    """
+    short = shift + len(row) - len(acc)
+    if short > 0:
+        acc.extend({} for _ in range(short))
+    for e1, v1 in c._terms.items():
+        v1 *= sign
+        for slot, r in zip(acc[shift:], row):
+            rt = r._terms
+            if not rt:
+                continue
+            get = slot.get
+            for e2, v2 in rt.items():
+                e = e1 + e2
+                slot[e] = get(e, 0) + v1 * v2
+
+
+def _wrap(terms: dict[int, int]) -> LaurentPoly:
+    """One buffer slot as a LaurentPoly, its cancelled zeros dropped."""
+    return LaurentPoly._adopt({e: v for e, v in terms.items() if v})
+
+
+def _finish(acc: list[dict[int, int]]) -> UniPoly:
+    return UniPoly([_wrap(terms) for terms in acc])
+
+
+def _linear(terms: Iterable[tuple[LaurentPoly, Row, int]]) -> UniPoly:
+    """sum(sign * c * row) over (c, row, sign), built in one buffer."""
+    acc: list[dict[int, int]] = []
+    for c, row, sign in terms:
+        _addmul(acc, 0, c, row, sign)
+    return _finish(acc)
+
+
+def _product(a: Row, b: Row) -> list[dict[int, int]]:
+    """The buffer of a * b: one `_addmul` per nonzero coefficient of a."""
+    acc: list[dict[int, int]] = []
+    for i, c in enumerate(a):
+        if c._terms:
+            _addmul(acc, i, c, b, 1)
+    return acc
+
+
 T_VAR = UniPoly([0, 1])
 
+_CHEBYSHEV = [UniPoly([1]), T_VAR, UniPoly([-2, 0, 1])]
 
-@lru_cache(maxsize=None)
+
 def chebyshev(n: int) -> UniPoly:
     """T_n with T_0 = 1, T_1 = t, T_2 = t^2 - 2, T_n = t*T_{n-1} - T_{n-2}.
 
     Note the normalization T_0 = 1, so the recursion only holds from n = 3
-    onward and T_2 is pinned separately.
+    onward and T_2 is pinned separately.  The table grows bottom-up, so
+    no call recurses.
     """
+    global _CHEBYSHEV
+    n = index(n)
     if n < 0:
         raise ValueError("chebyshev index must be nonnegative")
-    if n == 0:
-        return UniPoly([1])
-    if n == 1:
-        return T_VAR
-    if n == 2:
-        return UniPoly([-2, 0, 1])
-    return T_VAR * chebyshev(n - 1) - chebyshev(n - 2)
+    table = _CHEBYSHEV
+    if n >= len(table):
+        # Grow a copy and publish it whole: a concurrent caller sees the
+        # old table or the new one, never a half-built one.
+        table = list(table)
+        while len(table) <= n:
+            table.append(T_VAR * table[-1] - table[-2])
+        _CHEBYSHEV = table
+    return table[n]
 
 
 def power(n: int) -> UniPoly:
     """The monomial t^n."""
+    n = index(n)
     if n < 0:
         raise ValueError("power index must be nonnegative")
     return UniPoly([0] * n + [1])
@@ -233,43 +287,44 @@ CHEBYSHEV = ChebyshevSequence()
 POWER = PowerSequence()
 
 
-def to_basis(p: UniPoly, seq: SequenceSpec) -> list[LaurentPoly]:
-    """Coefficients c_k with p = sum c_k * seq[k]; exact, length deg(p)+1.
+def _reduce(acc: list[dict[int, int]], seq: SequenceSpec) -> list[LaurentPoly]:
+    """Basis coefficients of the buffer's polynomial, by division with
+    remainder from the top degree down; the buffer is consumed.
 
-    Back-substitution from the top degree down: seq[k] is monic of degree
-    k, so c_j = p_j - sum_{k>j} c_k * seq[k]_j, one `dot` per coefficient.
-    seq[k] is read only where c_k is nonzero.
+    Where slot j is nonzero its value is c_j, and c_j * seq[j] is
+    subtracted whole, its part at and above t^j included, so the buffer
+    ends as p - sum c_k * seq[k].  That is 0 when every entry read is
+    monic of its degree; a nonzero residual means the table is broken.
     """
-    out = list(p.coeffs)
-    used: list[tuple[LaurentPoly, tuple[LaurentPoly, ...]]] = []
-    residual = UniPoly()
-    for j in range(len(out) - 1, -1, -1):
-        cj = out[j] = out[j] - LaurentPoly.dot((c, row[j]) for c, row in used)
-        if not cj:
-            continue
-        row = seq[j].coeffs
-        if len(row) != j + 1 or row[j] != ONE:
-            # seq[j] breaks the contract: what it holds at and above t^j,
-            # other than t^j itself, is never subtracted.
-            residual = residual + (power(j) - UniPoly([ZERO] * j + list(row[j:]))) * cj
-            row += (ZERO,) * (j + 1 - len(row))
-        used.append((cj, row))
-    if not residual.is_zero():
+    out = [ZERO] * len(acc)
+    for j in range(len(acc) - 1, -1, -1):
+        if any(acc[j].values()):
+            cj = out[j] = _wrap(acc[j])
+            _addmul(acc, 0, cj, seq[j].coeffs, -1)
+    if any(any(terms.values()) for terms in acc):
         raise AssertionError("basis conversion left a nonzero residual")
     return out
 
 
+def to_basis(p: UniPoly, seq: SequenceSpec) -> list[LaurentPoly]:
+    """Coefficients c_k with p = sum c_k * seq[k]; exact, length deg(p)+1.
+
+    seq[k] is read only where c_k is nonzero.
+    """
+    return _reduce([dict(c._terms) for c in p.coeffs], seq)
+
+
 def from_basis(coeffs: Sequence[LaurentPoly], seq: SequenceSpec) -> UniPoly:
     """Inverse of to_basis: rebuild the polynomial from its coefficients."""
-    out = UniPoly()
-    for k, c in enumerate(coeffs):
-        if not c.is_zero():
-            out = out + seq[k] * c
-    return out
+    return _linear((c, seq[k].coeffs, 1) for k, c in enumerate(coeffs) if c._terms)
 
 
 def product_in_basis(seq: SequenceSpec, m: int, n: int) -> list[LaurentPoly]:
-    """Coefficients of seq[m] * seq[n] expanded back in the basis {seq[k]}."""
+    """Coefficients of seq[m] * seq[n] expanded back in the basis {seq[k]}.
+
+    The product buffer is reduced in place; the product polynomial is
+    never built.
+    """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    return to_basis(seq[m] * seq[n], seq)
+    return _reduce(_product(seq[m].coeffs, seq[n].coeffs), seq)

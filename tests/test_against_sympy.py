@@ -1,9 +1,12 @@
-"""UniPoly products and basis conversion checked against sympy.expand.
+"""UniPoly products, basis conversion and the Chebyshev recursion
+checked against sympy.
 
 Random polynomials in t with Laurent coefficients in q (negative
 exponents, coefficients up to 2^70) are multiplied and converted over
 the Chebyshev, power and random monic custom sequences; every result is
-compared with sympy's expansion of the same expression.
+compared with sympy's expansion of the same expression.  The fused
+`product_in_basis` is also checked against the unfused product followed
+by `to_basis`, and `chebyshev(n)` against sympy's `chebyshevt`.
 """
 
 import pytest
@@ -16,6 +19,7 @@ from skeincalc.sequences import (
     POWER,
     CustomSequence,
     UniPoly,
+    chebyshev,
     from_basis,
     product_in_basis,
     to_basis,
@@ -99,3 +103,14 @@ def test_products_and_conversions_match_sympy(a, b, seq, m, n):
     structure = product_in_basis(seq, m, n)
     assert_same(sym_combination(structure, seq), sym_poly(seq[m]) * sym_poly(seq[n]))
     assert_no_stored_zero(structure)
+    assert structure == to_basis(seq[m] * seq[n], seq)
+
+
+def test_chebyshev_matches_sympy():
+    # sympy's Chebyshev polynomials of the first kind give
+    # T_n(t) = 2 * chebyshevt(n, t / 2) for n >= 1; the normalization
+    # pins T_0 = 1 where that formula gives 2.
+    assert chebyshev(0) == UniPoly([1])
+    for n in range(1, 61):
+        want = sympy.Poly(2 * sympy.chebyshevt_poly(n, t / 2), t).all_coeffs()[::-1]
+        assert chebyshev(n) == UniPoly(int(c) for c in want), n

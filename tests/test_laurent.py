@@ -123,7 +123,8 @@ class TestIdentity:
         assert not lp({0: 0})
 
     @pytest.mark.parametrize(
-        "terms", [{0: 0.7}, {0: 1.0}, {0: "1"}, {0.5: 1}, {"1": 1}, {0: None}]
+        "terms",
+        [{0: 0.7}, {0: 1.0}, {0: "1"}, {0.5: 1}, {"1": 1}, {0: None}, 1.5, "3", [1]],
     )
     def test_constructor_takes_exact_input_only(self, terms):
         with pytest.raises(TypeError):

@@ -162,16 +162,16 @@ class TestArcConstraints:
 class TestAudit:
     def test_chebyshev_and_power_clean_to_10(self):
         for seq in (CHEBYSHEV, POWER):
-            rows = structure_constant_audit(seq, 10)
+            rows = structure_constant_audit(seq, 10).rows
             assert all(r.all_positive for r in rows)
 
     def test_negative_mix_detected(self):
         seq = CustomSequence({2: UniPoly([0, -1, 1])}, base=POWER, name="t^2-t")
-        rows = structure_constant_audit(seq, 3)
+        rows = structure_constant_audit(seq, 3).rows
         assert any(not r.all_positive for r in rows)
 
     def test_row_grid(self):
-        rows = structure_constant_audit(CHEBYSHEV, 3)
+        rows = structure_constant_audit(CHEBYSHEV, 3).rows
         assert {(r.m, r.n) for r in rows} == {
             (m, n) for m in range(4) for n in range(m, 4)
         }
@@ -192,7 +192,16 @@ class TestReportShape:
         data = report.to_json_dict(q1=True)
         d_rows = [c for c in data["constraints"] if c["label"] == "d"]
         assert d_rows == [{"label": "d", "value": -2, "required": "Z_+", "ok": False}]
-        assert report.conclusion_at_q1() == CONTRADICTION
+        assert data["conclusion"] == CONTRADICTION
+        assert report.conclusion_for(q1=True) == CONTRADICTION
+
+    def test_q1_json_carries_the_q1_conclusion(self):
+        # a = q - q^-1 breaks R_+ but every value is >= 0 at q = 1.
+        seq = CustomSequence({1: UniPoly([LaurentPoly({1: 1, -1: -1}), 1])}, base=CHEBYSHEV)
+        report = minimality_constraints(seq, 2)
+        assert report.to_json_dict()["conclusion"] == CONTRADICTION
+        assert report.to_json_dict(q1=True)["conclusion"] == CONSISTENT
+        assert all(x["ok"] for x in report.to_json_dict(q1=True)["constraints"])
 
     def test_symbol_order_positive_first(self):
         report = minimality_constraints(CHEBYSHEV, 2)

@@ -42,6 +42,19 @@ class TestChebyshev:
         with pytest.raises(ValueError):
             chebyshev(-1)
 
+    def test_deep_index_needs_no_recursion(self):
+        p = chebyshev(1000)
+        assert p.degree == 1000
+        assert p.coeffs[-1] == ONE
+        for n in (1, 2, 3, 10, 999, 1000):
+            value = sum(c.coefficient(0) * 2**i for i, c in enumerate(chebyshev(n).coeffs))
+            assert value == 2, n
+
+    @pytest.mark.parametrize("make", [chebyshev, power])
+    def test_rejects_inexact_index(self, make):
+        with pytest.raises(TypeError):
+            make(3.0)
+
 
 class TestPower:
     def test_examples(self):
@@ -187,3 +200,16 @@ class TestUniPoly:
 
     def test_scalar_mul(self):
         assert chebyshev(2) * LaurentPoly(2) == UniPoly([-4, 0, 2])
+        assert chebyshev(2) * 0 == UniPoly()
+
+    def test_add_sub_neg(self):
+        a, b = chebyshev(3), UniPoly([1, 3, 0, -1])
+        assert a + b == UniPoly([1, 0])
+        assert a - b == UniPoly([-1, -6, 0, 2])
+        assert -a == UniPoly([0, 3, 0, -1])
+        assert a - a == UniPoly()
+
+    @pytest.mark.parametrize("coeffs", [[1.5], ["3"], [0, 2.0]])
+    def test_takes_exact_input_only(self, coeffs):
+        with pytest.raises(TypeError):
+            UniPoly(coeffs)
