@@ -13,7 +13,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 
 from .diagram import (
     Diagram,
@@ -57,9 +57,9 @@ from .skein import (
 )
 
 
-@dataclass
 class RunConfig:
-    command: str
+    """One command's settings: the parsed options over these defaults."""
+
     n: int | None = None
     k: int | None = None
     max_n: int | None = None
@@ -72,6 +72,9 @@ class RunConfig:
     jobs: int = 1
     q1: bool = False
     diagram_check: bool = False
+
+    def __init__(self, command: str):
+        self.command = command
 
 
 _INDEX = re.compile(r"0|[1-9][0-9]*")
@@ -163,24 +166,26 @@ def vector_json(v: SkeinVector, q1: bool = False) -> list[dict]:
     return [{"basis": b.label(), "coeff": _coeff_repr(c, q1)} for b, c in v.items()]
 
 
-@dataclass
 class CaseResult:
-    label: str
-    lhs: SkeinVector
-    rhs: SkeinVector
+    """One checked case of an identity: its label and both sides."""
+
+    def __init__(self, label: str, lhs: SkeinVector, rhs: SkeinVector):
+        self.label = label
+        self.lhs = lhs
+        self.rhs = rhs
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass
 class IdentityReport:
     """A verification command's report: one line per checked case."""
 
-    name: str
-    statement: str
-    cases: list[CaseResult] = field(default_factory=list)
+    def __init__(self, name: str, statement: str, cases: Iterable[CaseResult] = ()):
+        self.name = name
+        self.statement = statement
+        self.cases = list(cases)
 
     def ok(self) -> bool:
         return all(c.ok for c in self.cases)
@@ -391,16 +396,31 @@ def _cmd_arc_constraints(cfg: RunConfig) -> tuple[bool, str]:
     return ok, emit_report(report, cfg.fmt, cfg.q1)
 
 
-def _parse_diagram(spec: str) -> Diagram:
+def _refuse_over_cap(spec: str, crossings: int, cap: int) -> None:
+    """Refuse a spec before building it when its crossings exceed the cap."""
+    if crossings > cap:
+        raise CrossingCapExceeded(
+            f"{spec} has {crossings} crossings; the expansion cap is {cap}"
+        )
+
+
+def _parse_diagram(spec: str, cap: int) -> Diagram:
+    """Build the diagram a spec names, first refusing a spec whose
+    crossings exceed the cap: theta:K has K, and xkyn:K,N and zkn:K,N
+    have K*N (zkn resolves them while it is built)."""
     name, _, args = spec.partition(":")
     try:
         if name == "core":
             return build_core_stack(int(args))
         if name == "theta":
-            return build_theta_over_cores(int(args))
+            k = int(args)
+            _refuse_over_cap(spec, k, cap)
+            return build_theta_over_cores(k)
         if name in ("xkyn", "zkn"):
             k_s, _, n_s = args.partition(",")
             k, n = int(k_s), int(n_s)
+            if k > 0 and n > 0:
+                _refuse_over_cap(spec, k * n, cap)
             return build_xk_yn(k, n) if name == "xkyn" else build_zkn(k, n)
         if name == "d1":
             return build_d1_xy()
@@ -408,6 +428,8 @@ def _parse_diagram(spec: str) -> Diagram:
             if args not in ("+", "-"):
                 raise UsageError("kink takes + or -")
             return build_kink(1 if args == "+" else -1)
+    except CrossingCapExceeded:
+        raise
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad diagram spec {spec!r}: {exc}") from exc
     raise UsageError(
@@ -418,7 +440,7 @@ def _parse_diagram(spec: str) -> Diagram:
 def _cmd_resolve(cfg: RunConfig) -> tuple[bool, str]:
     if not cfg.diagram:
         raise UsageError("resolve needs a diagram spec")
-    d = _parse_diagram(cfg.diagram)
+    d = _parse_diagram(cfg.diagram, cfg.cap)
     if cfg.ideal == "none":
         vec = resolve_all(d, cap=cfg.cap, jobs=cfg.jobs)
     else:

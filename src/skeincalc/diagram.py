@@ -24,30 +24,32 @@ fan-out over resolution choices can share structure freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import Record
 
 # An attachment point is ("X", crossing_id, port) or ("B", point, slot).
 Attachment = tuple
 
 
-@dataclass(frozen=True)
-class Disk:
+class Disk(Record):
     """A disk with marked boundary points listed in clockwise cyclic order."""
 
-    points: tuple[str, ...] = ()
+    __slots__ = ("points",)  # tuple[str, ...]
+    _defaults = {"points": ()}
 
 
-@dataclass(frozen=True)
-class Annulus:
+class Annulus(Record):
     """An annulus with no marked points and one seam."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class MarkedAnnulus:
+
+class MarkedAnnulus(Record):
     """An annulus with p1 on the inner boundary, p2 on the outer, one seam.
 
     The seam runs through neither marked point.
     """
+
+    __slots__ = ()
 
 
 Surface = Disk | Annulus | MarkedAnnulus
@@ -67,25 +69,21 @@ def has_seam(surface: Surface) -> bool:
     return isinstance(surface, (Annulus, MarkedAnnulus))
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     """A crossing: ports 0..3 clockwise, over-strand on one diagonal."""
 
-    id: str
-    over: tuple[int, int]
+    __slots__ = ("id", "over")  # str, tuple[int, int]
 
-    def __post_init__(self):
+    def _check(self):
         if self.over not in ((0, 2), (1, 3)):
             raise ValueError("over-strand must occupy diagonal (0,2) or (1,3)")
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     """An edge between two attachments; seam is signed along a -> b."""
 
-    a: Attachment
-    b: Attachment
-    seam: int = 0
+    __slots__ = ("a", "b", "seam")  # Attachment, Attachment, int
+    _defaults = {"seam": 0}
 
 
 def make_edge(a: Attachment, b: Attachment, seam: int = 0) -> Edge:
@@ -105,8 +103,7 @@ def smoothing_pairs(over: tuple[int, int], sign: int) -> tuple[tuple[int, int], 
     return tuple((p, (p + step) % 4) for p in over)
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Record):
     """An immutable diagram on one of the supported surfaces.
 
     crossings are kept sorted by id; loops is the sorted multiset of
@@ -115,11 +112,10 @@ class Diagram:
     of incident edge ends -- slot index is height, 0 = bottom.
     """
 
-    surface: Surface
-    crossings: tuple[Crossing, ...] = ()
-    edges: frozenset[Edge] = frozenset()
-    loops: tuple[int, ...] = ()
-    slots: tuple[tuple[str, int], ...] = ()
+    # Surface, tuple[Crossing, ...], frozenset[Edge], tuple[int, ...],
+    # tuple[tuple[str, int], ...]
+    __slots__ = ("surface", "crossings", "edges", "loops", "slots")
+    _defaults = {"crossings": (), "edges": frozenset(), "loops": (), "slots": ()}
 
     @property
     def crossing_count(self) -> int:
@@ -184,11 +180,11 @@ class Diagram:
 
 def _diagram(surface, crossings, edges, loops=(), slots=()) -> Diagram:
     return Diagram(
-        surface=surface,
-        crossings=tuple(sorted(crossings, key=lambda c: c.id)),
-        edges=frozenset(edges),
-        loops=tuple(sorted(loops)),
-        slots=tuple(slots),
+        surface,
+        tuple(sorted(crossings, key=lambda c: c.id)),
+        frozenset(edges),
+        tuple(sorted(loops)),
+        tuple(slots),
     )
 
 
@@ -230,35 +226,37 @@ def disk_surface(n: int) -> Disk:
     return Disk(tuple(points))
 
 
-def _grid_cid(l: int, m: int) -> str:
-    return f"E{l:02d}{m:02d}"
-
-
 def build_xk_yn(k: int, n: int) -> Diagram:
     """k vertical strands stacked above n horizontal strands on disk_surface(n).
 
     Vertical strand l (1 = leftmost) runs p0 -> p{n+1}; horizontal strand m
     runs p{m} -> q{m}.  The verticals are over at all k*n crossings, and at
     the shared endpoints the left strand is above the right one, so strand l
-    occupies height slot k-l.
+    occupies height slot k-l.  Crossing (l, m) is E followed by l and m
+    zero-padded to one width, E0102 while k, n <= 99; a width fixed per
+    diagram keeps the ids distinct and sorted by (l, m).
     """
     if k < 1 or n < 1:
         raise ValueError("strand counts must be positive")
-    crossings = [
-        Crossing(_grid_cid(l, m), (0, 2)) for l in range(1, k + 1) for m in range(1, n + 1)
-    ]
+    width = max(2, len(str(max(k, n))))
+    cid = {
+        (l, m): f"E{l:0{width}d}{m:0{width}d}"
+        for l in range(1, k + 1)
+        for m in range(1, n + 1)
+    }
+    crossings = [Crossing(c, (0, 2)) for c in cid.values()]
     edges = []
     for l in range(1, k + 1):
         prev: Attachment = ("B", "p0", k - l)
         for m in range(1, n + 1):
-            edges.append(make_edge(prev, ("X", _grid_cid(l, m), 0), 0))
-            prev = ("X", _grid_cid(l, m), 2)
+            edges.append(make_edge(prev, ("X", cid[l, m], 0), 0))
+            prev = ("X", cid[l, m], 2)
         edges.append(make_edge(prev, ("B", f"p{n + 1}", k - l), 0))
     for m in range(1, n + 1):
         prev = ("B", f"p{m}", 0)
         for l in range(1, k + 1):
-            edges.append(make_edge(prev, ("X", _grid_cid(l, m), 1), 0))
-            prev = ("X", _grid_cid(l, m), 3)
+            edges.append(make_edge(prev, ("X", cid[l, m], 1), 0))
+            prev = ("X", cid[l, m], 3)
         edges.append(make_edge(prev, ("B", f"q{m}", 0), 0))
     slots = [("p0", k)] + [(f"p{i}", 1) for i in range(1, n + 1)] + [(f"p{n + 1}", k)]
     slots += [(f"q{i}", 1) for i in range(n, 0, -1)]

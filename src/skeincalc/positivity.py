@@ -28,8 +28,7 @@ consistency of these necessary conditions only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .diagram import build_xk_yn, build_zkn
 from .laurent import LaurentPoly, ONE, ZERO, q_power
 from .sequences import CHEBYSHEV, POWER, SequenceSpec, to_basis
@@ -46,16 +45,15 @@ CONTRADICTION = "contradiction"
 FORCES_A_ZERO = "forces a=0"
 
 
-@dataclass(frozen=True)
-class CurveSymbol:
+class CurveSymbol(Record):
     """A formal basis symbol of the loop-product expansion.
 
     kind is one of "unit", "pn_z", "p1_zprime", "p1_zpos", "p1_zneg";
     k is the winding index for the last two kinds.
     """
 
-    kind: str
-    k: int = 0
+    __slots__ = ("kind", "k")  # str, int
+    _defaults = {"k": 0}
 
     def sort_key(self):
         # Unit, P_n(z), P_1(z'), then the winding pairs by k, positive first.
@@ -120,15 +118,12 @@ def loop_product_expansion(
     return out
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """One requirement: either a value that must lie in R_+, or an
     engine-checked identity (kind "identity", value unused)."""
 
-    label: str
-    value: LaurentPoly
-    satisfied: bool
-    kind: str = "positivity"
+    __slots__ = ("label", "value", "satisfied", "kind")  # str, LaurentPoly, bool, str
+    _defaults = {"kind": "positivity"}
 
     def passes(self, q1: bool = False) -> bool:
         """An identity must hold; a value must lie in R_+, or at q = 1 in Z_+."""
@@ -137,16 +132,14 @@ class Constraint:
         return self.value.eval_q1() >= 0
 
 
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Echo of the inputs, the expansion table, and the derived constraints."""
+class ConstraintReport(Record):
+    """Echo of the inputs, the expansion table, and the derived constraints.
 
-    subject: str
-    a: LaurentPoly | None
-    c: tuple[LaurentPoly, ...]
-    table: tuple[tuple[str, LaurentPoly], ...]
-    constraints: tuple[Constraint, ...]
-    conclusion: str
+    Fields: subject (str), a (LaurentPoly or None), c (the coefficients),
+    table ((symbol label, coefficient) pairs), constraints and conclusion.
+    """
+
+    __slots__ = ("subject", "a", "c", "table", "constraints", "conclusion")
 
     def failed(self) -> list[Constraint]:
         return [x for x in self.constraints if not x.satisfied]
@@ -282,23 +275,19 @@ def q_constraints(
     )
 
 
-@dataclass(frozen=True)
-class AuditRow:
-    m: int
-    n: int
-    all_positive: bool
+class AuditRow(Record):
+    """Whether every structure constant of seq[m] * seq[n] is positive."""
+
+    __slots__ = ("m", "n", "all_positive")  # int, int, bool
 
 
-class AuditReport:
+class AuditReport(Record):
     """One row per product seq[m] * seq[n] with m <= n <= max_n.
 
-    A plain class, not a dataclass: building a dataclass costs about a
-    millisecond at import, on every CLI start-up."""
+    Its own type, not a bare tuple of rows, so emit_report can dispatch
+    on it."""
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[AuditRow, ...]):
-        self.rows = rows
+    __slots__ = ("rows",)  # tuple[AuditRow, ...]
 
     def ok(self) -> bool:
         return all(r.all_positive for r in self.rows)

@@ -274,6 +274,7 @@ class CustomSequence(SequenceSpec):
         self.name = name
 
     def poly(self, n: int) -> UniPoly:
+        n = index(n)
         if n in self._table:
             return self._table[n]
         if self._base is not None:

@@ -28,10 +28,10 @@ contains a chord between the generator's endpoint pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
+from ._record import Record
 from .diagram import (
     Annulus,
     Diagram,
@@ -62,11 +62,10 @@ class CrossingCapExceeded(ValueError):
 # -- basis elements -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnnulusPower:
+class AnnulusPower(Record):
     """z^m: m disjoint core-parallel loops on the annulus."""
 
-    m: int
+    __slots__ = ("m",)  # int
 
     def sort_key(self):
         return (0, self.m)
@@ -75,11 +74,10 @@ class AnnulusPower:
         return "1" if self.m == 0 else f"z^{self.m}"
 
 
-@dataclass(frozen=True)
-class AioArc:
+class AioArc(Record):
     """theta_n: the inner-to-outer arc of winding n on the marked annulus."""
 
-    n: int
+    __slots__ = ("n",)  # int
 
     def sort_key(self):
         # Descending winding, so transport identities read q^n theta_n first.
@@ -89,8 +87,7 @@ class AioArc:
         return f"theta_{self.n}"
 
 
-@dataclass(frozen=True)
-class DiskMatching:
+class DiskMatching(Record):
     """A crossingless multicurve of chords on a marked disk.
 
     chords are (point_a, slot_a, point_b, slot_b) with ends ordered by
@@ -98,8 +95,7 @@ class DiskMatching:
     bottom-to-top height order at each marked point.
     """
 
-    points: tuple[str, ...]
-    chords: tuple[tuple[str, int, str, int], ...]
+    __slots__ = ("points", "chords")  # tuple[str, ...], tuple[chord, ...]
 
     def sort_key(self):
         idx = {p: i for i, p in enumerate(self.points)}
@@ -243,12 +239,11 @@ class SkeinVector:
 # -- boundary-arc ideals --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(Record):
     """A set of boundary chords (unordered adjacent marked-point pairs)
     generating a two-sided ideal."""
 
-    generators: tuple[tuple[str, str], ...]
+    __slots__ = ("generators",)  # tuple[tuple[str, str], ...]
 
     @classmethod
     def of_pairs(cls, pairs: Iterable[tuple[str, str]]) -> "IdealSpec":
@@ -286,22 +281,17 @@ def full_boundary_ideal(surface: Disk) -> IdealSpec:
 # -- classification of crossingless diagrams -------------------------------------
 
 
-@dataclass(frozen=True)
-class ArcComponent:
+class ArcComponent(Record):
     """An arc between boundary endpoints; winding is summed seam count
     traversed from end a to end b."""
 
-    a_point: str
-    a_slot: int
-    b_point: str
-    b_slot: int
-    winding: int
+    __slots__ = ("a_point", "a_slot", "b_point", "b_slot", "winding")
 
 
-@dataclass(frozen=True)
-class Components:
-    loops: tuple[int, ...]
-    arcs: tuple[ArcComponent, ...]
+class Components(Record):
+    """The free-loop windings and the arcs of a crossingless diagram."""
+
+    __slots__ = ("loops", "arcs")  # tuple[int, ...], tuple[ArcComponent, ...]
 
 
 def classify_components(d: Diagram) -> Components:
@@ -323,7 +313,7 @@ def classify_components(d: Diagram) -> Components:
         else:
             arcs.append(ArcComponent(pb, sb, pa, sa, -e.seam))
     arcs.sort(key=lambda a: (order[a.a_point], a.a_slot))
-    return Components(loops=d.loops, arcs=tuple(arcs))
+    return Components(d.loops, tuple(arcs))
 
 
 def _reduce_state(
@@ -651,13 +641,13 @@ def _resolve(
     jobs: int,
 ) -> SkeinVector:
     check_jobs(jobs)
-    d.validate()
     c = d.crossing_count
     if c > cap:
         raise CrossingCapExceeded(
             f"diagram has {c} crossings; the expansion cap is {cap} "
             f"(2^{c} states exceed the configured budget)"
         )
+    d.validate()
     raw = _frontier_resolve(d, ideal)
     return SkeinVector({elem: LaurentPoly(terms) for elem, terms in raw.items()})
 

@@ -3,9 +3,15 @@
 import concurrent.futures
 import json
 import multiprocessing.process
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skeincalc
+from skeincalc import cli
 from skeincalc.cli import main
 
 
@@ -41,6 +47,17 @@ class TestExitCodes:
     def test_unknown_diagram_is_two(self, capsys):
         code, _, err = run_cli(capsys, "resolve", "torus:1")
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["theta:200000", "xkyn:300,300", "zkn:5,5"])
+    def test_resolve_refuses_over_cap_before_building(self, capsys, monkeypatch, spec):
+        def refuse(*args):
+            raise AssertionError("a diagram over the cap was built")
+
+        for name in ("build_theta_over_cores", "build_xk_yn", "build_zkn"):
+            monkeypatch.setattr(cli, name, refuse)
+        code, _, err = run_cli(capsys, "resolve", spec)
+        assert code == 2
+        assert "refusing to expand" in err
 
     def test_argparse_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -250,3 +267,23 @@ class TestDeterminism:
         a = run_cli(capsys, "minimality", "--seq", "chebyshev", "--n", "5", "--format", "json")
         b = run_cli(capsys, "minimality", "--seq", "chebyshev", "--n", "5", "--format", "json")
         assert a == b
+
+
+class TestStartup:
+    def test_import_loads_no_dataclasses(self):
+        # dataclasses pulls in inspect and ast: tens of milliseconds on every
+        # command, measured with python -X importtime.
+        src = str(Path(skeincalc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import skeincalc.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"

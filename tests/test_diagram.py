@@ -62,6 +62,14 @@ class TestBuilders:
         assert d.slot_count("p0") == 2 and d.slot_count("p6") == 2
         assert d.slot_count("p3") == 1 and d.slot_count("q2") == 1
 
+    def test_xk_yn_ids_are_unique_past_99_strands(self):
+        # With two digits per strand, (10, 101) and (101, 1) both gave E10101.
+        d = build_xk_yn(101, 101)
+        assert len({c.id for c in d.crossings}) == 101 * 101
+        d.validate()
+        ids = [c.id for c in build_xk_yn(2, 3).crossings]
+        assert ids == ["E0101", "E0102", "E0103", "E0201", "E0202", "E0203"]
+
     def test_xk_yn_rejects_zero(self):
         with pytest.raises(ValueError):
             build_xk_yn(0, 1)

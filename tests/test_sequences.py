@@ -178,6 +178,12 @@ class TestCustomSequence:
         with pytest.raises(TypeError):
             CustomSequence({1.5: UniPoly([0, 1])})
 
+    @pytest.mark.parametrize("n", [1.0, 1.5])
+    def test_lookup_rejects_inexact_index(self, n):
+        seq = CustomSequence({1: UniPoly([0, 1])})
+        with pytest.raises(TypeError):
+            seq[n]
+
     def test_rejects_bad_constant(self):
         with pytest.raises(ValueError):
             CustomSequence({0: UniPoly([2])})

@@ -189,6 +189,12 @@ class TestResolveAll:
         with pytest.raises(ValueError, match="edge ends do not cover every port"):
             resolve_all(broken)
 
+    def test_cap_is_checked_before_validation(self):
+        d = build_xk_yn(2, 2)
+        broken = Diagram(d.surface, d.crossings, frozenset(), (), d.slots)
+        with pytest.raises(CrossingCapExceeded):
+            resolve_all(broken, cap=3)
+
     def test_annulus_windings_stay_small(self):
         for k in range(4):
             assert collect_loop_windings(build_theta_over_cores(k)) <= {0, 1}
@@ -306,6 +312,64 @@ class TestSkeinVector:
         assert elem.label() == "chords[(p0,q1),(p1,p2)]"
         ((elem2, _),) = normal_form(build_zkn(2, 2)).items()
         assert "@" in elem2.label()
+
+
+# Keys of one vector share field values across types: AnnulusPower(m) and
+# AioArc(m) hold the same int, and the disk chord ends at slot m.
+def basis_key(kind: str, m: int):
+    if kind == "z":
+        return AnnulusPower(m)
+    if kind == "theta":
+        return AioArc(m)
+    return DiskMatching(("p0", "p1"), (("p0", 0, "p1", m),))
+
+
+laurents = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=3).map(LaurentPoly)
+raw_vectors = st.dictionaries(
+    st.tuples(st.sampled_from(("z", "theta", "disk")), st.integers(0, 2)), laurents, max_size=6
+)
+
+
+def oracle_add(x: dict, y: dict, sign: int = 1) -> dict:
+    """x + sign*y on {(kind, m): LaurentPoly}, zeros dropped."""
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, LaurentPoly()) + c * LaurentPoly(sign)
+    return {k: c for k, c in out.items() if not c.is_zero()}
+
+
+def oracle_scale(x: dict, s: LaurentPoly) -> dict:
+    return {k: c * s for k, c in x.items() if not (c * s).is_zero()}
+
+
+def as_vector(raw: dict) -> SkeinVector:
+    return SkeinVector({basis_key(*k): c for k, c in raw.items()})
+
+
+class TestSkeinVectorArithmetic:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(raw_vectors, raw_vectors, raw_vectors, laurents, laurents)
+    def test_matches_dict_oracle(self, x, y, z, s, t):
+        u, v, w = as_vector(x), as_vector(y), as_vector(z)
+        assert len(u) == sum(not c.is_zero() for c in x.values())
+        cases = [
+            (u + v, oracle_add(x, y)),
+            (u - v, oracle_add(x, y, -1)),
+            (u.scaled(s), oracle_scale(x, s)),
+            (u.scaled(-2), oracle_scale(x, LaurentPoly(-2))),
+        ]
+        for got, want in cases:
+            assert got == as_vector(want)
+            assert len(got) == len(want)
+            assert all(not c.is_zero() for _, c in got.items())
+        assert u + v == v + u and hash(u + v) == hash(v + u)
+        assert (u + v) + w == u + (v + w)
+        assert (u + v).scaled(s) == u.scaled(s) + v.scaled(s)
+        assert u.scaled(s) + u.scaled(t) == u.scaled(s + t)
+        assert u.scaled(s).scaled(t) == u.scaled(s * t)
+        assert (u - u).is_zero() and u - v == u + v.scaled(-1)
+        backwards = as_vector(dict(reversed(list(x.items()))))
+        assert backwards == u and hash(backwards) == hash(u)
 
 
 def scan_oracle(d, ideal=None) -> SkeinVector:
