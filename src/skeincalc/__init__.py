@@ -42,7 +42,6 @@ from .skein import (
     LOOP_VALUE,
     SkeinVector,
     StructureError,
-    classify_components,
     full_boundary_ideal,
     grid_ideal,
     normal_form,

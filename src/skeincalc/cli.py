@@ -25,11 +25,12 @@ from .diagram import (
     build_xk_yn,
     build_zkn,
 )
-from .laurent import LaurentPoly, q_power
+from .laurent import LaurentPoly
 from .positivity import (
     CONSISTENT,
     AuditReport,
     ConstraintReport,
+    grid_identity,
     minimality_constraints,
     q_constraints,
     structure_constant_audit,
@@ -49,7 +50,6 @@ from .skein import (
     SkeinVector,
     full_boundary_ideal,
     grid_ideal,
-    normal_form,
     resolve_all,
     resolve_all_mod,
     theta_bullet,
@@ -310,10 +310,7 @@ def _emit_audit(report: AuditReport, fmt: str) -> str:
 def _cmd_verify_theta(cfg: RunConfig) -> tuple[bool, str]:
     if cfg.n is None or cfg.n < 1:
         raise UsageError("verify-theta needs --n >= 1")
-    if cfg.n > cfg.cap:
-        raise CrossingCapExceeded(
-            f"n={cfg.n} needs {cfg.n} crossings; cap is {cfg.cap}"
-        )
+    _refuse_over_cap(f"theta:{cfg.n}", cfg.n, cfg.cap)
     report = IdentityReport(
         name="theta transport",
         statement=(
@@ -322,7 +319,7 @@ def _cmd_verify_theta(cfg: RunConfig) -> tuple[bool, str]:
         ),
     )
     for j in range(1, cfg.n + 1):
-        lhs = theta_bullet(chebyshev(j), cap=cfg.cap, jobs=cfg.jobs)
+        lhs = theta_bullet(chebyshev(j), cap=cfg.cap)
         report.cases.append(CaseResult(f"n={j}", lhs, theta_transport_target(j)))
     return report.ok(), emit_report(report, cfg.fmt, cfg.q1)
 
@@ -331,12 +328,8 @@ def _cmd_verify_zkn(cfg: RunConfig) -> tuple[bool, str]:
     if cfg.k is None or cfg.n is None or not 1 <= cfg.k <= cfg.n:
         raise UsageError("verify-zkn needs 1 <= --k <= --n")
     k, n = cfg.k, cfg.n
-    if k * n > cfg.cap:
-        raise CrossingCapExceeded(
-            f"k*n = {k * n} crossings exceed the cap {cfg.cap}"
-        )
-    lhs = resolve_all_mod(build_xk_yn(k, n), grid_ideal(n), cap=cfg.cap, jobs=cfg.jobs)
-    rhs = normal_form(build_zkn(k, n)).scaled(q_power(-k * n))
+    _refuse_over_cap(f"xkyn:{k},{n}", k * n, cfg.cap)
+    lhs, rhs = grid_identity(k, n, cfg.cap)
     report = IdentityReport(
         name="grid quotient",
         statement=(
@@ -350,9 +343,7 @@ def _cmd_verify_zkn(cfg: RunConfig) -> tuple[bool, str]:
 
 def _cmd_verify_d1(cfg: RunConfig) -> tuple[bool, str]:
     d = build_d1_xy()
-    lhs = resolve_all_mod(
-        d, full_boundary_ideal(d.surface), cap=cfg.cap, jobs=cfg.jobs
-    )
+    lhs = resolve_all_mod(d, full_boundary_ideal(d.surface), cap=cfg.cap)
     report = IdentityReport(
         name="4-marked disk quotient",
         statement="x·y vanishes modulo the ideal of all four boundary arcs",
@@ -390,7 +381,6 @@ def _cmd_arc_constraints(cfg: RunConfig) -> tuple[bool, str]:
         cfg.k_max,
         diagram_check=cfg.diagram_check,
         cap=cfg.cap,
-        jobs=cfg.jobs,
     )
     ok = report.conclusion_for(cfg.q1) == CONSISTENT
     return ok, emit_report(report, cfg.fmt, cfg.q1)
@@ -404,14 +394,23 @@ def _refuse_over_cap(spec: str, crossings: int, cap: int) -> None:
         )
 
 
+# core:K has no crossings, so no cap bounds it, yet it builds K loops
+# (about 20 bytes each) before anything is printed.
+MAX_CORE_LOOPS = 100_000
+
+
 def _parse_diagram(spec: str, cap: int) -> Diagram:
     """Build the diagram a spec names, first refusing a spec whose
     crossings exceed the cap: theta:K has K, and xkyn:K,N and zkn:K,N
-    have K*N (zkn resolves them while it is built)."""
+    have K*N (zkn resolves them while it is built).  core:K is refused
+    above MAX_CORE_LOOPS."""
     name, _, args = spec.partition(":")
     try:
         if name == "core":
-            return build_core_stack(int(args))
+            k = int(args)
+            if k > MAX_CORE_LOOPS:
+                raise UsageError(f"core:K takes K <= {MAX_CORE_LOOPS}, got {k}")
+            return build_core_stack(k)
         if name == "theta":
             k = int(args)
             _refuse_over_cap(spec, k, cap)
@@ -442,7 +441,7 @@ def _cmd_resolve(cfg: RunConfig) -> tuple[bool, str]:
         raise UsageError("resolve needs a diagram spec")
     d = _parse_diagram(cfg.diagram, cfg.cap)
     if cfg.ideal == "none":
-        vec = resolve_all(d, cap=cfg.cap, jobs=cfg.jobs)
+        vec = resolve_all(d, cap=cfg.cap)
     else:
         if not isinstance(d.surface, Disk):
             raise UsageError("ideals only apply to disk diagrams")
@@ -451,7 +450,7 @@ def _cmd_resolve(cfg: RunConfig) -> tuple[bool, str]:
             if cfg.ideal == "boundary"
             else grid_ideal((len(d.surface.points) - 2) // 2)
         )
-        vec = resolve_all_mod(d, ideal, cap=cfg.cap, jobs=cfg.jobs)
+        vec = resolve_all_mod(d, ideal, cap=cfg.cap)
     return True, emit_report(vec, cfg.fmt, cfg.q1)
 
 

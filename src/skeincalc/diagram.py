@@ -150,6 +150,8 @@ class Diagram(Record):
             seen.extend((e.a, e.b))
             if not has_seam(self.surface) and e.seam != 0:
                 raise ValueError("seam counts must vanish on a disk")
+        if not has_seam(self.surface) and any(self.loops):
+            raise ValueError("free loops cannot wind on a disk")
         if len(seen) != len(set(seen)):
             raise ValueError("an attachment point is used by more than one edge end")
         if set(seen) != expected:

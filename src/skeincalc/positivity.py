@@ -34,7 +34,7 @@ from .laurent import LaurentPoly, ONE, ZERO, q_power
 from .sequences import CHEBYSHEV, POWER, SequenceSpec, to_basis
 from .skein import (
     DEFAULT_CROSSING_CAP,
-    check_jobs,
+    SkeinVector,
     grid_ideal,
     normal_form,
     resolve_all_mod,
@@ -223,6 +223,14 @@ def minimality_constraints(seq: SequenceSpec, n: int) -> ConstraintReport:
     )
 
 
+def grid_identity(k: int, n: int, cap: int) -> tuple[SkeinVector, SkeinVector]:
+    """Both sides of x^k y_n = q^(-kn) z_(k,n) modulo the grid ideal: the
+    quotient of the k-by-n grid, and the weighted all-negative state."""
+    lhs = resolve_all_mod(build_xk_yn(k, n), grid_ideal(n), cap=cap)
+    rhs = normal_form(build_zkn(k, n)).scaled(q_power(-k * n))
+    return lhs, rhs
+
+
 def q_constraints(
     seq: SequenceSpec,
     n: int,
@@ -230,7 +238,6 @@ def q_constraints(
     *,
     diagram_check: bool = False,
     cap: int = DEFAULT_CROSSING_CAP,
-    jobs: int = 1,
 ) -> ConstraintReport:
     """Positivity requirements on the power-basis coefficients of seq[n],
     read off the boundary-ideal quotient of the marked disk.
@@ -241,7 +248,6 @@ def q_constraints(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    check_jobs(jobs)
     if k_max is None:
         k_max = n
     if k_max < 1:
@@ -253,10 +259,8 @@ def q_constraints(
         Constraint(f"c_{k}", c[k], c[k].is_positive()) for k in range(0, k_max + 1)
     ]
     if diagram_check:
-        ideal = grid_ideal(n)
         for k in range(1, k_max + 1):
-            got = resolve_all_mod(build_xk_yn(k, n), ideal, cap=cap, jobs=jobs)
-            want = normal_form(build_zkn(k, n)).scaled(q_power(-k * n))
+            got, want = grid_identity(k, n, cap)
             constraints.append(
                 Constraint(
                     f"x^{k} y_{n} == q^-{k * n} z_({k},{n}) mod I",

@@ -7,9 +7,11 @@ a time over a frontier of partially resolved states (the local gluing of
 Bar-Natan, "Fast Khovanov homology computations", arXiv:math/0606318):
 states that agree so far are merged, trivial loops are factored out as
 they close, and disk states die as soon as a finished arc is a trivial
-arc or an ideal generator.  The 2^c scan (_Scanner, _scan_range) is kept
-as the brute-force reference that tests compare against.  Normal forms
-per surface:
+arc or an ideal generator.  A crossingless diagram is a frontier of zero
+steps, so normal forms take the same path.  The brute-force references
+that tests compare against -- the 2^c state scan, the single-crossing
+fold and the torus-knot Jones polynomials -- live in tests/.  Normal
+forms per surface:
 
 * annulus: winding-0 loops each contribute the scalar -q^2 - q^-2; the
   surviving core-parallel loops give the basis element z^m;
@@ -210,11 +212,6 @@ class SkeinVector:
     def __reduce__(self):
         return (SkeinVector, (self._terms,))
 
-    def to_json_list(self) -> list[dict]:
-        return [
-            {"basis": b.label(), "coeff": c.to_json_dict()} for b, c in self.items()
-        ]
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -250,9 +247,6 @@ class IdealSpec(Record):
         normed = {tuple(sorted(p)) for p in pairs}
         return cls(tuple(sorted(normed)))
 
-    def contains_pair(self, a: str, b: str) -> bool:
-        return tuple(sorted((a, b))) in set(self.generators)
-
     def validate_on(self, surface: Surface) -> None:
         """Every generator must join neighbours in the cyclic point order."""
         if not isinstance(surface, Disk):
@@ -278,42 +272,7 @@ def full_boundary_ideal(surface: Disk) -> IdealSpec:
     return IdealSpec.of_pairs((pts[i], pts[(i + 1) % n]) for i in range(n))
 
 
-# -- classification of crossingless diagrams -------------------------------------
-
-
-class ArcComponent(Record):
-    """An arc between boundary endpoints; winding is summed seam count
-    traversed from end a to end b."""
-
-    __slots__ = ("a_point", "a_slot", "b_point", "b_slot", "winding")
-
-
-class Components(Record):
-    """The free-loop windings and the arcs of a crossingless diagram."""
-
-    __slots__ = ("loops", "arcs")  # tuple[int, ...], tuple[ArcComponent, ...]
-
-
-def classify_components(d: Diagram) -> Components:
-    """Label every component of a crossingless diagram.
-
-    Arcs are oriented from the end with the smaller (point index, slot),
-    so marked-annulus arcs are read from p1 and their winding is the
-    theta index.
-    """
-    if d.crossings:
-        raise ValueError("classification requires a crossingless diagram")
-    order = {p: i for i, p in enumerate(surface_points(d.surface))}
-    arcs = []
-    for e in d.edges:
-        (_, pa, sa) = e.a
-        (_, pb, sb) = e.b
-        if (order[pa], sa) <= (order[pb], sb):
-            arcs.append(ArcComponent(pa, sa, pb, sb, e.seam))
-        else:
-            arcs.append(ArcComponent(pb, sb, pa, sa, -e.seam))
-    arcs.sort(key=lambda a: (order[a.a_point], a.a_slot))
-    return Components(d.loops, tuple(arcs))
+# -- normal forms --------------------------------------------------------------
 
 
 def _reduce_state(
@@ -369,21 +328,16 @@ def _reduce_state(
 
 def normal_form(d: Diagram) -> SkeinVector:
     """Reduce a crossingless diagram to (basis element, scalar) or zero."""
-    comps = classify_components(d)
-    arcs = [(a.a_point, a.a_slot, a.b_point, a.b_slot, a.winding) for a in comps.arcs]
-    points = surface_points(d.surface)
-    order = {p: i for i, p in enumerate(points)}
-    elem, trivial = _reduce_state(d.surface, points, order, arcs, comps.loops)
-    if elem is None:
-        return SkeinVector.zero()
-    return SkeinVector.single(elem, LOOP_VALUE**trivial)
+    if d.crossings:
+        raise ValueError("normal_form requires a crossingless diagram")
+    return _resolve(d, None, DEFAULT_CROSSING_CAP)
 
 
 # -- the state-sum engine ---------------------------------------------------------
 
 
 class _Scanner:
-    """A diagram compiled to flat arrays for fast iteration over states.
+    """A diagram compiled to the flat port arrays the frontier walks.
 
     Nodes are crossing ports (4*ci + port) followed by boundary slots;
     each node has one incident diagram edge, and each port additionally
@@ -405,7 +359,6 @@ class _Scanner:
                 slot_node[(p, s)] = nxt
                 self.slot_info.append((p, s))
                 nxt += 1
-        self.n_nodes = nxt
         self.slot_nodes = list(range(4 * c, nxt))
 
         def node_of(att):
@@ -433,88 +386,6 @@ class _Scanner:
         self.pos = pos
         self.neg = neg
         self.base_loops = list(d.loops)
-
-    def components(self, mask: int):
-        """Arcs and loop windings of the state where bit ci = 1 means the
-        ci-th crossing is resolved positively."""
-        to, w, pos, neg = self.to, self.w, self.pos, self.neg
-        ports = 4 * self.c
-        seen = bytearray(self.n_nodes)
-        arcs = []
-        for s in self.slot_nodes:
-            if seen[s]:
-                continue
-            seen[s] = 1
-            wind = w[s]
-            v = to[s]
-            while v < ports:
-                seen[v] = 1
-                u = pos[v] if (mask >> (v >> 2)) & 1 else neg[v]
-                seen[u] = 1
-                wind += w[u]
-                v = to[u]
-            seen[v] = 1
-            pa, sa = self.slot_info[s - ports]
-            pb, sb = self.slot_info[v - ports]
-            arcs.append((pa, sa, pb, sb, wind))
-        loops = list(self.base_loops)
-        for v0 in range(ports):
-            if seen[v0]:
-                continue
-            wind = 0
-            v = v0
-            while not seen[v]:
-                seen[v] = 1
-                u = pos[v] if (mask >> (v >> 2)) & 1 else neg[v]
-                seen[u] = 1
-                wind += w[u]
-                v = to[u]
-            loops.append(abs(wind))
-        return arcs, loops
-
-
-def _scan_range(
-    d: Diagram, lo: int, hi: int, ideal: IdealSpec | None
-) -> dict[BasisElement, dict[int, int]]:
-    """Accumulate the contributions of states lo..hi-1 as raw term dicts."""
-    scanner = _Scanner(d)
-    c = scanner.c
-    points = scanner.points
-    order = {p: i for i, p in enumerate(points)}
-    surface = scanner.surface
-    gens = None if ideal is None else set(ideal.generators)
-    delta_pows = [ONE.terms()]
-    acc: dict[BasisElement, dict[int, int]] = {}
-    for mask in range(lo, hi):
-        arcs, loops = scanner.components(mask)
-        elem, trivial = _reduce_state(surface, points, order, arcs, loops)
-        if elem is None:
-            continue
-        if gens is not None and isinstance(elem, DiskMatching):
-            if any(
-                ((a, b) if a <= b else (b, a)) in gens for a, b in elem.chord_pairs()
-            ):
-                continue
-        while trivial >= len(delta_pows):
-            last = LaurentPoly(delta_pows[-1])
-            delta_pows.append((last * LOOP_VALUE).terms())
-        shift = 2 * bin(mask).count("1") - c
-        bucket = acc.setdefault(elem, {})
-        for e, coeff in delta_pows[trivial].items():
-            e += shift
-            s = bucket.get(e, 0) + coeff
-            if s:
-                bucket[e] = s
-            else:
-                del bucket[e]
-    return acc
-
-
-def check_jobs(jobs: int) -> None:
-    """The jobs keyword is kept for compatibility: it must be >= 1, and it
-    changes neither the result nor the processes used."""
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
 
 
 @lru_cache(maxsize=None)
@@ -556,7 +427,7 @@ def _frontier_resolve(
     through _reduce_state, the single reducer.  Pruned disk states skip
     its checks; the only one that could fire there is the disk
     StructureError for loops that wind, and validated disk diagrams have
-    zero seam counts, so their loops never wind.
+    zero seam counts and unwound free loops, so their loops never wind.
     """
     sc = _Scanner(d)
     to, w, slot_info = sc.to, sc.w, sc.slot_info
@@ -638,9 +509,7 @@ def _resolve(
     d: Diagram,
     ideal: IdealSpec | None,
     cap: int,
-    jobs: int,
 ) -> SkeinVector:
-    check_jobs(jobs)
     c = d.crossing_count
     if c > cap:
         raise CrossingCapExceeded(
@@ -652,24 +521,18 @@ def _resolve(
     return SkeinVector({elem: LaurentPoly(terms) for elem, terms in raw.items()})
 
 
-def resolve_all(
-    d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP, jobs: int = 1
-) -> SkeinVector:
+def resolve_all(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> SkeinVector:
     """Sum q^(#pos - #neg) * normal_form(state) over all 2^c resolutions."""
-    return _resolve(d, None, cap, jobs)
+    return _resolve(d, None, cap)
 
 
 def resolve_all_mod(
-    d: Diagram,
-    ideal: IdealSpec,
-    *,
-    cap: int = DEFAULT_CROSSING_CAP,
-    jobs: int = 1,
+    d: Diagram, ideal: IdealSpec, *, cap: int = DEFAULT_CROSSING_CAP
 ) -> SkeinVector:
     """As resolve_all, but states whose normal form contains an ideal
     generator chord are discarded."""
     ideal.validate_on(d.surface)
-    return _resolve(d, ideal, cap, jobs)
+    return _resolve(d, ideal, cap)
 
 
 # -- the transport operator ------------------------------------------------------
@@ -685,15 +548,12 @@ def _theta_over_cores(k: int, cap: int) -> SkeinVector:
     return resolve_all(build_theta_over_cores(k), cap=cap)
 
 
-def theta_bullet(
-    p: UniPoly, *, cap: int = DEFAULT_CROSSING_CAP, jobs: int = 1
-) -> SkeinVector:
+def theta_bullet(p: UniPoly, *, cap: int = DEFAULT_CROSSING_CAP) -> SkeinVector:
     """The inner-to-outer arc stacked above p(z), expanded exactly.
 
     Linear in p: each power t^k contributes its coefficient times the full
     resolution of the arc over k core loops.
     """
-    check_jobs(jobs)
     out = SkeinVector.zero()
     for k in range(p.degree + 1):
         ck = p.coefficient(k)

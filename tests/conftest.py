@@ -1,5 +1,6 @@
-"""Shared test helpers: an independent fold-based resolver and random
-Laurent polynomial generation."""
+"""Shared test helpers: the brute-force oracles the frontier resolver is
+checked against (a 2^c state scan, a single-crossing fold, closed braids
+with known Jones polynomials) and random Laurent polynomial generation."""
 
 from __future__ import annotations
 
@@ -9,28 +10,116 @@ import random
 import pytest
 
 from skeincalc import (
+    Crossing,
     Diagram,
+    Disk,
+    IdealSpec,
     LaurentPoly,
+    LOOP_VALUE,
     SkeinVector,
-    classify_components,
-    normal_form,
     resolve_crossing,
 )
+from skeincalc.diagram import make_edge
 from skeincalc.laurent import q_power
+from skeincalc.skein import DiskMatching, _reduce_state, _Scanner
+
+
+def scan_components(sc: _Scanner, mask: int):
+    """Arcs and loop windings of the state where bit ci = 1 means the
+    ci-th crossing is resolved positively, traced edge by edge."""
+    to, w, pos, neg = sc.to, sc.w, sc.pos, sc.neg
+    ports = 4 * sc.c
+    seen = bytearray(len(to))
+    arcs = []
+    for s in sc.slot_nodes:
+        if seen[s]:
+            continue
+        seen[s] = 1
+        wind = w[s]
+        v = to[s]
+        while v < ports:
+            seen[v] = 1
+            u = pos[v] if (mask >> (v >> 2)) & 1 else neg[v]
+            seen[u] = 1
+            wind += w[u]
+            v = to[u]
+        seen[v] = 1
+        pa, sa = sc.slot_info[s - ports]
+        pb, sb = sc.slot_info[v - ports]
+        arcs.append((pa, sa, pb, sb, wind))
+    loops = list(sc.base_loops)
+    for v0 in range(ports):
+        if seen[v0]:
+            continue
+        wind = 0
+        v = v0
+        while not seen[v]:
+            seen[v] = 1
+            u = pos[v] if (mask >> (v >> 2)) & 1 else neg[v]
+            seen[u] = 1
+            wind += w[u]
+            v = to[u]
+        loops.append(abs(wind))
+    return arcs, loops
+
+
+def scan_resolve(d: Diagram, ideal: IdealSpec | None = None) -> SkeinVector:
+    """The 2^c state sum, each state traced and reduced on its own."""
+    sc = _Scanner(d)
+    order = {p: i for i, p in enumerate(sc.points)}
+    gens = set() if ideal is None else set(ideal.generators)
+    acc: dict = {}
+    for mask in range(1 << sc.c):
+        arcs, loops = scan_components(sc, mask)
+        elem, trivial = _reduce_state(sc.surface, sc.points, order, arcs, loops)
+        if elem is None:
+            continue
+        if isinstance(elem, DiskMatching) and any(
+            tuple(sorted(pair)) in gens for pair in elem.chord_pairs()
+        ):
+            continue
+        weight = q_power(2 * bin(mask).count("1") - sc.c) * LOOP_VALUE**trivial
+        acc[elem] = acc.get(elem, LaurentPoly()) + weight
+    return SkeinVector(acc)
 
 
 def fold_resolve(d: Diagram) -> SkeinVector:
     """Expand by repeated single-crossing resolution, the slow way.
 
-    Independent of the state-sum scanner: recurses through
-    resolve_crossing and sums q^{+-1}-weighted normal forms.
+    Independent of the frontier: recurses through resolve_crossing and
+    sums q^{+-1}-weighted scans of the crossingless leaves.
     """
     if d.crossing_count == 0:
-        return normal_form(d)
+        return scan_resolve(d)
     cid = d.crossings[0].id
     pos = fold_resolve(resolve_crossing(d, cid, +1)).scaled(q_power(1))
     neg = fold_resolve(resolve_crossing(d, cid, -1)).scaled(q_power(-1))
     return pos + neg
+
+
+def closed_braid(word: list[int]) -> Diagram:
+    """The closure of a braid word on the unmarked disk.
+
+    Letter i > 0 is sigma_i, the over-strand going from position i at the
+    bottom to position i+1 at the top; -i is its inverse.  Ports are
+    0 = SW, 1 = NW, 2 = NE, 3 = SE, strands run upward, and each closure
+    edge joins a position's last port to its first one, so every position
+    must carry a crossing.  Crossing ids sort in word order.
+    """
+    first: dict[int, tuple] = {}
+    last: dict[int, tuple] = {}
+    crossings, edges = [], []
+    for j, letter in enumerate(word):
+        i, cid = abs(letter), f"b{j:04d}"
+        crossings.append(Crossing(cid, (0, 2) if letter > 0 else (1, 3)))
+        for pos, bottom, top in ((i, 0, 1), (i + 1, 3, 2)):
+            if pos in last:
+                edges.append(make_edge(last[pos], ("X", cid, bottom)))
+            else:
+                first[pos] = ("X", cid, bottom)
+            last[pos] = ("X", cid, top)
+    edges += [make_edge(last[pos], first[pos]) for pos in first]
+    return Diagram(Disk(), tuple(crossings), frozenset(edges))
 
 
 def enumerate_states(d: Diagram):
@@ -47,7 +136,7 @@ def collect_loop_windings(d: Diagram) -> set[int]:
     """All closed-component windings over every resolution of d."""
     out: set[int] = set()
     for _, state in enumerate_states(d):
-        out.update(classify_components(state).loops)
+        out.update(state.loops)
     return out
 
 

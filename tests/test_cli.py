@@ -44,6 +44,11 @@ class TestExitCodes:
         assert code == 2
         assert "refusing to expand" in err
 
+    def test_jobs_below_one_is_two(self, capsys):
+        code, _, err = run_cli(capsys, "verify-theta", "--n", "1", "--jobs", "0")
+        assert code == 2
+        assert "--jobs must be >= 1" in err
+
     def test_unknown_diagram_is_two(self, capsys):
         code, _, err = run_cli(capsys, "resolve", "torus:1")
         assert code == 2
@@ -58,6 +63,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "resolve", spec)
         assert code == 2
         assert "refusing to expand" in err
+
+    def test_resolve_refuses_large_core_before_building(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a core stack over the limit was built")
+
+        monkeypatch.setattr(cli, "build_core_stack", refuse)
+        code, _, err = run_cli(capsys, "resolve", f"core:{cli.MAX_CORE_LOOPS + 1}")
+        assert code == 2
+        assert f"K <= {cli.MAX_CORE_LOOPS}" in err
 
     def test_argparse_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -272,12 +286,15 @@ class TestDeterminism:
 class TestStartup:
     def test_import_loads_no_dataclasses(self):
         # dataclasses pulls in inspect and ast: tens of milliseconds on every
-        # command, measured with python -X importtime.
+        # command, measured with python -X importtime.  Every source line is
+        # compiled on every command too, so the test-only oracles stay out.
         src = str(Path(skeincalc.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "import skeincalc.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)), "
+            "sorted({'_scan_range', 'classify_components', 'check_jobs'} "
+            "& set(vars(sys.modules['skeincalc.skein']))))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -286,4 +303,4 @@ class TestStartup:
             text=True,
             check=True,
         ).stdout
-        assert out.strip() == "[]"
+        assert out.strip() == "[] []"

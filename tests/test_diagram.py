@@ -18,7 +18,7 @@ from skeincalc.diagram import (
     resolve_crossing,
     smoothing_pairs,
 )
-from skeincalc.skein import classify_components
+from skeincalc.skein import AioArc, SkeinVector, normal_form
 
 
 def all_builders():
@@ -117,25 +117,22 @@ class TestResolveCrossing:
     def test_kink_positive_smoothing_two_loops(self):
         d = resolve_crossing(build_kink(1), "k0", +1)
         assert d.crossing_count == 0
-        assert classify_components(d).loops == (0, 0)
+        assert d.loops == (0, 0)
 
     def test_kink_negative_smoothing_one_loop(self):
         d = resolve_crossing(build_kink(1), "k0", -1)
-        assert classify_components(d).loops == (0,)
+        assert d.loops == (0,)
 
     def test_theta_positive_gives_winding_one(self):
         # The chirality calibration case: one positive smoothing of the
         # arc-over-core crossing leaves the arc winding +1.
         d = resolve_crossing(build_theta_over_cores(1), "c01", +1)
-        comps = classify_components(d)
-        assert comps.loops == ()
-        (arc,) = comps.arcs
-        assert (arc.a_point, arc.b_point, arc.winding) == ("p1", "p2", 1)
+        assert d.loops == ()
+        assert normal_form(d) == SkeinVector.single(AioArc(1))
 
     def test_theta_negative_gives_winding_minus_one(self):
         d = resolve_crossing(build_theta_over_cores(1), "c01", -1)
-        (arc,) = classify_components(d).arcs
-        assert arc.winding == -1
+        assert normal_form(d) == SkeinVector.single(AioArc(-1))
 
     def test_zkn_equals_negative_fold(self):
         for k, n in [(1, 1), (1, 2), (2, 2), (2, 3)]:
@@ -161,8 +158,6 @@ def expected_staircase_chords(k: int, n: int):
 
 class TestZknStaircaseOracle:
     def test_matches_closed_form(self):
-        from skeincalc.skein import normal_form
-
         for n in range(1, 5):
             for k in range(1, n + 1):
                 nf = normal_form(build_zkn(k, n))

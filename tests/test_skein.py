@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import collect_loop_windings, enumerate_states, fold_resolve
+from conftest import collect_loop_windings, enumerate_states, fold_resolve, scan_resolve
 from skeincalc.diagram import (
     Annulus,
     Diagram,
@@ -15,9 +15,11 @@ from skeincalc.diagram import (
     build_theta_over_cores,
     build_xk_yn,
     build_zkn,
+    make_edge,
     resolve_crossing,
 )
 from skeincalc import skein
+from skeincalc.cli import vector_json
 from skeincalc.laurent import LaurentPoly, ONE, q_power
 from skeincalc.sequences import UniPoly, chebyshev, power
 from skeincalc.skein import (
@@ -29,8 +31,6 @@ from skeincalc.skein import (
     LOOP_VALUE,
     SkeinVector,
     StructureError,
-    _scan_range,
-    classify_components,
     full_boundary_ideal,
     grid_ideal,
     normal_form,
@@ -45,23 +45,23 @@ EMPTY_DISK = DiskMatching((), ())
 
 class TestClassify:
     def test_core_stack(self):
-        comps = classify_components(build_core_stack(2))
-        assert comps.loops == (1, 1) and comps.arcs == ()
+        d = build_core_stack(2)
+        assert d.loops == (1, 1) and not d.edges
+        assert normal_form(d) == SkeinVector.single(AnnulusPower(2), ONE)
 
     def test_theta_zero(self):
-        comps = classify_components(build_theta_over_cores(0))
-        (arc,) = comps.arcs
-        assert (arc.a_point, arc.b_point, arc.winding) == ("p1", "p2", 0)
+        assert normal_form(build_theta_over_cores(0)) == SkeinVector.single(AioArc(0), ONE)
 
     def test_zkn_11(self):
-        comps = classify_components(build_zkn(1, 1))
-        assert comps.loops == ()
-        pairs = sorted((a.a_point, a.b_point) for a in comps.arcs)
-        assert pairs == [("p0", "q1"), ("p1", "p2")]
+        d = build_zkn(1, 1)
+        assert d.loops == ()
+        ((elem, coeff),) = normal_form(d).items()
+        assert coeff == ONE
+        assert sorted(elem.chord_pairs()) == [("p0", "q1"), ("p1", "p2")]
 
     def test_rejects_crossings(self):
-        with pytest.raises(ValueError):
-            classify_components(build_kink(1))
+        with pytest.raises(ValueError, match="crossingless"):
+            normal_form(build_kink(1))
 
 
 class TestNormalForm:
@@ -83,14 +83,12 @@ class TestNormalForm:
         d = build_xk_yn(2, 2)
         for cid, sign in [("E0101", -1), ("E0201", +1), ("E0102", -1), ("E0202", -1)]:
             d = resolve_crossing(d, cid, sign)
-        comps = classify_components(d)
-        assert any(a.a_point == a.b_point == "p0" for a in comps.arcs)
+        assert any(e.a[1] == e.b[1] == "p0" for e in d.edges)
         assert normal_form(d).is_zero()
 
     def test_every_cap_state_is_zero(self):
         for signs, state in enumerate_states(build_xk_yn(2, 2)):
-            comps = classify_components(state)
-            if any(a.a_point == a.b_point for a in comps.arcs):
+            if any(e.a[1] == e.b[1] for e in state.edges):
                 assert normal_form(state).is_zero()
 
     def test_rejects_crossings(self):
@@ -136,8 +134,8 @@ class TestResolveAll:
         )
 
     def test_matches_fold_resolver(self):
-        # The state-sum scanner against the independent single-crossing
-        # fold, across every builder family.
+        # The frontier against the independent single-crossing fold,
+        # across every builder family.
         cases = [
             build_kink(1),
             build_kink(-1),
@@ -166,17 +164,18 @@ class TestResolveAll:
         with pytest.raises(CrossingCapExceeded):
             resolve_all(build_xk_yn(2, 3), cap=5)
 
-    def test_jobs_deterministic(self):
-        d = build_xk_yn(2, 5)
-        serial = resolve_all(d)
-        parallel = resolve_all(d, jobs=2)
-        assert serial == parallel
-
-    def test_jobs_must_be_positive(self):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            resolve_all(build_kink(1), jobs=0)
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            theta_bullet(UniPoly(), jobs=0)
+    def test_rejects_winding_disk_loop(self):
+        # The arc a@0-a@1 kills every state before the loop is looked at,
+        # so without the check resolve_all returned 0 here.
+        d = Diagram(
+            surface=Disk(("a", "b")),
+            edges=frozenset({make_edge(("B", "a", 0), ("B", "a", 1))}),
+            loops=(1,),
+            slots=(("a", 2),),
+        )
+        for check in (Diagram.validate, resolve_all, normal_form):
+            with pytest.raises(ValueError, match="free loops cannot wind on a disk"):
+                check(d)
 
     def test_validates_before_resolving(self):
         d = build_xk_yn(2, 2)
@@ -302,7 +301,7 @@ class TestSkeinVector:
 
     def test_json(self):
         v = theta_transport_target(1)
-        assert v.to_json_list() == [
+        assert vector_json(v) == [
             {"basis": "theta_1", "coeff": {"1": 1}},
             {"basis": "theta_-1", "coeff": {"-1": 1}},
         ]
@@ -372,12 +371,6 @@ class TestSkeinVectorArithmetic:
         assert backwards == u and hash(backwards) == hash(u)
 
 
-def scan_oracle(d, ideal=None) -> SkeinVector:
-    """The brute-force 2^c state scan as a SkeinVector."""
-    raw = _scan_range(d, 0, 1 << d.crossing_count, ideal)
-    return SkeinVector({elem: LaurentPoly(terms) for elem, terms in raw.items()})
-
-
 @st.composite
 def partial_diagrams(draw):
     """A builder diagram with a random subset of its crossings resolved
@@ -414,4 +407,4 @@ class TestFrontierAgainstOracles:
             assert got == fold_resolve(d)
         else:
             got = resolve_all_mod(d, ideal)
-        assert got == scan_oracle(d, ideal)
+        assert got == scan_resolve(d, ideal)
