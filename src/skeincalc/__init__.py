@@ -53,7 +53,6 @@ from .skein import (
 from .positivity import (
     Constraint,
     ConstraintReport,
-    CurveSymbol,
     loop_product_expansion,
     minimality_constraints,
     q_constraints,

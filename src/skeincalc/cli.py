@@ -1,10 +1,13 @@
 """Command-line entry point: verification commands, audits, report emission.
 
+The library returns report data; every text, tsv and JSON rendering lives
+here.  Commands read the argparse namespace, which holds the only defaults.
+
 Exit codes are a stable contract: 0 all checks pass, 1 a verification or
-constraint failed, 2 usage error (bad bounds, bad sequence file, crossing
-cap exceeded).  Output is deterministic: basis elements in canonical
-order, exponents ascending, byte-identical across runs and for every
---jobs value.
+constraint failed, 2 usage error (bad bounds, a size over its limit, bad
+sequence file, crossing cap exceeded), raised before any work.  Output is
+deterministic: basis elements in canonical order, exponents ascending,
+byte-identical across runs and for every --jobs value.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import argparse
 import json
 import re
 import sys
-from collections.abc import Iterable
 
+from ._record import Record
 from .diagram import (
     Diagram,
     Disk,
@@ -55,26 +58,6 @@ from .skein import (
     theta_bullet,
     theta_transport_target,
 )
-
-
-class RunConfig:
-    """One command's settings: the parsed options over these defaults."""
-
-    n: int | None = None
-    k: int | None = None
-    max_n: int | None = None
-    k_max: int | None = None
-    seq: str = "chebyshev"
-    diagram: str | None = None
-    ideal: str = "none"
-    fmt: str = "text"
-    cap: int = DEFAULT_CROSSING_CAP
-    jobs: int = 1
-    q1: bool = False
-    diagram_check: bool = False
-
-    def __init__(self, command: str):
-        self.command = command
 
 
 _INDEX = re.compile(r"0|[1-9][0-9]*")
@@ -146,46 +129,43 @@ def load_sequence(spec: str) -> SequenceSpec:
 
 
 def _coeff_repr(c: LaurentPoly, q1: bool):
+    """A coefficient's JSON value: an {exponent: int} object, or at q = 1 an int."""
     return c.eval_q1() if q1 else c.to_json_dict()
 
 
+def _coeff_text(c: LaurentPoly, q1: bool) -> str:
+    """A coefficient as text and tsv print it."""
+    return str(c.eval_q1()) if q1 else str(c)
+
+
 def render_vector(v: SkeinVector, q1: bool = False) -> str:
-    if q1:
-        if v.is_zero():
-            return "0"
-        parts = []
-        for b, c in v.items():
-            val = c.eval_q1()
-            bl = b.label()
-            parts.append(str(val) if bl == "1" else f"{val}·{bl}")
-        return " + ".join(parts)
-    return str(v)
+    if not q1:
+        return str(v)
+    parts = [
+        _coeff_text(c, q1) + ("" if b.label() == "1" else f"·{b.label()}")
+        for b, c in v.items()
+    ]
+    return " + ".join(parts) or "0"
 
 
 def vector_json(v: SkeinVector, q1: bool = False) -> list[dict]:
     return [{"basis": b.label(), "coeff": _coeff_repr(c, q1)} for b, c in v.items()]
 
 
-class CaseResult:
+class CaseResult(Record):
     """One checked case of an identity: its label and both sides."""
 
-    def __init__(self, label: str, lhs: SkeinVector, rhs: SkeinVector):
-        self.label = label
-        self.lhs = lhs
-        self.rhs = rhs
+    __slots__ = ("label", "lhs", "rhs")  # str, SkeinVector, SkeinVector
 
     @property
     def ok(self) -> bool:
         return self.lhs == self.rhs
 
 
-class IdentityReport:
+class IdentityReport(Record):
     """A verification command's report: one line per checked case."""
 
-    def __init__(self, name: str, statement: str, cases: Iterable[CaseResult] = ()):
-        self.name = name
-        self.statement = statement
-        self.cases = list(cases)
+    __slots__ = ("name", "statement", "cases")  # str, str, tuple[CaseResult, ...]
 
     def ok(self) -> bool:
         return all(c.ok for c in self.cases)
@@ -201,10 +181,7 @@ def emit_report(report, fmt: str, q1: bool = False) -> str:
         if fmt == "json":
             return json.dumps(vector_json(report, q1), indent=2)
         if fmt == "tsv":
-            rows = [
-                f"{b.label()}\t{report.coefficient(b).eval_q1() if q1 else report.coefficient(b)}"
-                for b in report
-            ]
+            rows = [f"{b.label()}\t{_coeff_text(c, q1)}" for b, c in report.items()]
             return "\n".join(rows) if rows else "0"
         return render_vector(report, q1)
     if isinstance(report, AuditReport):
@@ -250,28 +227,46 @@ def _emit_identity(report: IdentityReport, fmt: str, q1: bool) -> str:
 
 
 def _emit_constraints(report: ConstraintReport, fmt: str, q1: bool) -> str:
-    if fmt == "json":
-        return json.dumps(report.to_json_dict(q1), indent=2)
     conclusion = report.conclusion_for(q1)
+    cone = "Z_+" if q1 else "R_+"
+    if fmt == "json":
+        return json.dumps(
+            {
+                "subject": report.subject,
+                "a": None if report.a is None else _coeff_repr(report.a, q1),
+                "c": [_coeff_repr(x, q1) for x in report.c],
+                "table": [
+                    {"symbol": s, "coeff": _coeff_repr(v, q1)} for s, v in report.table
+                ],
+                "constraints": [
+                    {
+                        "label": x.label,
+                        "value": _coeff_repr(x.value, q1),
+                        "required": "identity" if x.kind == "identity" else cone,
+                        "ok": x.passes(q1),
+                    }
+                    for x in report.constraints
+                ],
+                "conclusion": conclusion,
+            },
+            indent=2,
+        )
     rows = []
     for x in report.constraints:
         mark = "PASS" if x.passes(q1) else "FAIL"
         if x.kind == "identity":
             rows.append((x.label, "exact", "identity", mark))
-            continue
-        value = str(x.value.eval_q1()) if q1 else str(x.value)
-        rows.append((x.label, value, "Z_+" if q1 else "R_+", mark))
+        else:
+            rows.append((x.label, _coeff_text(x.value, q1), cone, mark))
     if fmt == "tsv":
         lines = ["\t".join(r) for r in rows]
         lines.append(f"conclusion\t{conclusion}")
         return "\n".join(lines)
     lines = [f"{report.subject}"]
     if report.a is not None:
-        lines.append(f"  P_1 constant a = {report.a.eval_q1() if q1 else report.a}")
+        lines.append(f"  P_1 constant a = {_coeff_text(report.a, q1)}")
     lines.append(
-        "  coefficients: ["
-        + ", ".join(str(x.eval_q1()) if q1 else str(x) for x in report.c)
-        + "]"
+        "  coefficients: [" + ", ".join(_coeff_text(x, q1) for x in report.c) + "]"
     )
     width = max((len(r[0]) for r in rows), default=0)
     for label, value, req, mark in rows:
@@ -298,92 +293,95 @@ def _emit_audit(report: AuditReport, fmt: str) -> str:
     if fmt == "tsv":
         lines.append(f"RESULT\t{'PASS' if ok else 'FAIL'}")
         return "\n".join(lines)
-    head = ["m\tn\tall structure constants positive"]
-    head.extend(lines)
-    head.append(f"RESULT: {'PASS' if ok else 'FAIL'}")
-    return "\n".join(head)
+    head = "m\tn\tall structure constants positive"
+    return "\n".join([head, *lines, f"RESULT: {'PASS' if ok else 'FAIL'}"])
 
 
 # -- commands ------------------------------------------------------------------
 
 
-def _cmd_verify_theta(cfg: RunConfig) -> tuple[bool, str]:
-    if cfg.n is None or cfg.n < 1:
+def _cmd_verify_theta(args: argparse.Namespace) -> tuple[bool, str]:
+    if args.n < 1:
         raise UsageError("verify-theta needs --n >= 1")
-    _refuse_over_cap(f"theta:{cfg.n}", cfg.n, cfg.cap)
+    _refuse_over_cap(f"theta:{args.n}", args.n, args.cap)
+    cases = [
+        CaseResult(f"n={j}", theta_bullet(chebyshev(j), cap=args.cap), theta_transport_target(j))
+        for j in range(1, args.n + 1)
+    ]
     report = IdentityReport(
         name="theta transport",
         statement=(
             "stacking the inner-to-outer arc above T_n(z) resolves to "
             "q^n·theta_n + q^-n·theta_-n"
         ),
+        cases=tuple(cases),
     )
-    for j in range(1, cfg.n + 1):
-        lhs = theta_bullet(chebyshev(j), cap=cfg.cap)
-        report.cases.append(CaseResult(f"n={j}", lhs, theta_transport_target(j)))
-    return report.ok(), emit_report(report, cfg.fmt, cfg.q1)
+    return report.ok(), emit_report(report, args.fmt, args.q1)
 
 
-def _cmd_verify_zkn(cfg: RunConfig) -> tuple[bool, str]:
-    if cfg.k is None or cfg.n is None or not 1 <= cfg.k <= cfg.n:
+def _cmd_verify_zkn(args: argparse.Namespace) -> tuple[bool, str]:
+    k, n = args.k, args.n
+    if not 1 <= k <= n:
         raise UsageError("verify-zkn needs 1 <= --k <= --n")
-    k, n = cfg.k, cfg.n
-    _refuse_over_cap(f"xkyn:{k},{n}", k * n, cfg.cap)
-    lhs, rhs = grid_identity(k, n, cfg.cap)
+    _refuse_over_cap(f"xkyn:{k},{n}", k * n, args.cap)
+    lhs, rhs = grid_identity(k, n, args.cap)
     report = IdentityReport(
         name="grid quotient",
         statement=(
             f"x^{k} y_{n} equals q^-{k * n} z_({k},{n}) modulo the boundary "
             f"arcs p0p1..p{n - 1}p{n}"
         ),
-        cases=[CaseResult(f"k={k},n={n}", lhs, rhs)],
+        cases=(CaseResult(f"k={k},n={n}", lhs, rhs),),
     )
-    return report.ok(), emit_report(report, cfg.fmt, cfg.q1)
+    return report.ok(), emit_report(report, args.fmt, args.q1)
 
 
-def _cmd_verify_d1(cfg: RunConfig) -> tuple[bool, str]:
+def _cmd_verify_d1(args: argparse.Namespace) -> tuple[bool, str]:
     d = build_d1_xy()
-    lhs = resolve_all_mod(d, full_boundary_ideal(d.surface), cap=cfg.cap)
+    lhs = resolve_all_mod(d, full_boundary_ideal(d.surface), cap=args.cap)
     report = IdentityReport(
         name="4-marked disk quotient",
         statement="x·y vanishes modulo the ideal of all four boundary arcs",
-        cases=[CaseResult("xy mod boundary", lhs, SkeinVector.zero())],
+        cases=(CaseResult("xy mod boundary", lhs, SkeinVector.zero()),),
     )
-    return report.ok(), emit_report(report, cfg.fmt, cfg.q1)
+    return report.ok(), emit_report(report, args.fmt, args.q1)
 
 
-def _cmd_audit(cfg: RunConfig) -> tuple[bool, str]:
-    if cfg.max_n is None or cfg.max_n < 1:
-        raise UsageError("audit needs --max-n >= 1")
-    seq = load_sequence(cfg.seq)
-    report = structure_constant_audit(seq, cfg.max_n)
-    return report.ok(), emit_report(report, cfg.fmt, cfg.q1)
+def _cmd_audit(args: argparse.Namespace) -> tuple[bool, str]:
+    _check_size("audit", "--max-n", args.max_n, MAX_AUDIT_N)
+    report = structure_constant_audit(load_sequence(args.seq), args.max_n)
+    return report.ok(), emit_report(report, args.fmt, args.q1)
 
 
-def _cmd_minimality(cfg: RunConfig) -> tuple[bool, str]:
-    if cfg.n is None or cfg.n < 1:
-        raise UsageError("minimality needs --n >= 1")
-    seq = load_sequence(cfg.seq)
-    report = minimality_constraints(seq, cfg.n)
-    ok = report.conclusion_for(cfg.q1) == CONSISTENT
-    return ok, emit_report(report, cfg.fmt, cfg.q1)
+def _cmd_minimality(args: argparse.Namespace) -> tuple[bool, str]:
+    _check_size("minimality", "--n", args.n, MAX_MINIMALITY_N)
+    report = minimality_constraints(load_sequence(args.seq), args.n)
+    ok = report.conclusion_for(args.q1) == CONSISTENT
+    return ok, emit_report(report, args.fmt, args.q1)
 
 
-def _cmd_arc_constraints(cfg: RunConfig) -> tuple[bool, str]:
-    if cfg.n is None or cfg.n < 1:
-        raise UsageError("arc-constraints needs --n >= 1")
-    if cfg.diagram_check and cfg.n > 4:
-        raise UsageError("--diagram-check supports n <= 4")
-    seq = load_sequence(cfg.seq)
+def _cmd_arc_constraints(args: argparse.Namespace) -> tuple[bool, str]:
+    n, k_max = args.n, args.k_max
+    _check_size("arc-constraints", "--n", n, MAX_ARC_N)
+    if k_max is not None and k_max < 1:
+        raise UsageError("arc-constraints needs --k-max >= 1")
+    if args.diagram_check:
+        # The largest grid checked is x^k y_n with k = min(k_max, n).
+        k = min(k_max or n, n)
+        _refuse_over_cap(f"xkyn:{k},{n}", k * n, args.cap)
     report = q_constraints(
-        seq,
-        cfg.n,
-        cfg.k_max,
-        diagram_check=cfg.diagram_check,
-        cap=cfg.cap,
+        load_sequence(args.seq), n, k_max, diagram_check=args.diagram_check, cap=args.cap
     )
-    ok = report.conclusion_for(cfg.q1) == CONSISTENT
-    return ok, emit_report(report, cfg.fmt, cfg.q1)
+    ok = report.conclusion_for(args.q1) == CONSISTENT
+    return ok, emit_report(report, args.fmt, args.q1)
+
+
+def _check_size(command: str, flag: str, value: int, limit: int) -> None:
+    """Refuse a size flag below 1 or above its limit, before any work."""
+    if value < 1:
+        raise UsageError(f"{command} needs {flag} >= 1")
+    if value > limit:
+        raise UsageError(f"{command} takes {flag} <= {limit}, got {value}")
 
 
 def _refuse_over_cap(spec: str, crossings: int, cap: int) -> None:
@@ -397,6 +395,14 @@ def _refuse_over_cap(spec: str, crossings: int, cap: int) -> None:
 # core:K has no crossings, so no cap bounds it, yet it builds K loops
 # (about 20 bytes each) before anything is printed.
 MAX_CORE_LOOPS = 100_000
+
+# Size limits of the report commands: the largest round values whose worst
+# built-in sequence stays within about 4 s and 150 MiB (Python 3.11, 2-CPU
+# host).  minimality --n 1000 took 2.7 s and 132 MiB, arc-constraints
+# --seq chebyshev --n 1000 3.2 s and 133 MiB, audit --max-n 100 3.5 s.
+MAX_MINIMALITY_N = 1000
+MAX_ARC_N = 1000
+MAX_AUDIT_N = 100
 
 
 def _parse_diagram(spec: str, cap: int) -> Diagram:
@@ -436,22 +442,22 @@ def _parse_diagram(spec: str, cap: int) -> Diagram:
     )
 
 
-def _cmd_resolve(cfg: RunConfig) -> tuple[bool, str]:
-    if not cfg.diagram:
+def _cmd_resolve(args: argparse.Namespace) -> tuple[bool, str]:
+    if not args.diagram:
         raise UsageError("resolve needs a diagram spec")
-    d = _parse_diagram(cfg.diagram, cfg.cap)
-    if cfg.ideal == "none":
-        vec = resolve_all(d, cap=cfg.cap)
+    d = _parse_diagram(args.diagram, args.cap)
+    if args.ideal == "none":
+        vec = resolve_all(d, cap=args.cap)
     else:
         if not isinstance(d.surface, Disk):
             raise UsageError("ideals only apply to disk diagrams")
         ideal = (
             full_boundary_ideal(d.surface)
-            if cfg.ideal == "boundary"
+            if args.ideal == "boundary"
             else grid_ideal((len(d.surface.points) - 2) // 2)
         )
-        vec = resolve_all_mod(d, ideal, cap=cfg.cap)
-    return True, emit_report(vec, cfg.fmt, cfg.q1)
+        vec = resolve_all_mod(d, ideal, cap=args.cap)
+    return True, emit_report(vec, args.fmt, args.q1)
 
 
 _COMMANDS = {
@@ -547,35 +553,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for name in (
-        "n",
-        "k",
-        "max_n",
-        "k_max",
-        "seq",
-        "diagram",
-        "ideal",
-        "fmt",
-        "cap",
-        "jobs",
-        "q1",
-        "diagram_check",
-    ):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    return cfg
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit code."""
     try:
-        if cfg.jobs < 1:
+        if args.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        if cfg.cap < 0:
+        if args.cap < 0:
             raise UsageError("--cap must be >= 0")
-        ok, text = _COMMANDS[cfg.command](cfg)
+        ok, text = _COMMANDS[args.command](args)
     except (UsageError, MissingEntry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -588,8 +573,7 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    code = run(config_from_args(ns))
+    code = run(parser.parse_args(argv))
     if argv is None:
         sys.exit(code)
     return code

@@ -23,7 +23,9 @@ The q^(-kn) weights are cross-checked against the resolution engine on
 request.
 
 Reports never claim a sequence IS positive -- they certify violations or
-consistency of these necessary conditions only.
+consistency of these necessary conditions only.  They are plain data:
+ConstraintReport.conclusion_for is the one conclusion rule, and cli.py
+renders every output format.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from ._record import Record
 from .diagram import build_xk_yn, build_zkn
 from .laurent import LaurentPoly, ONE, ZERO, q_power
-from .sequences import CHEBYSHEV, POWER, SequenceSpec, to_basis
+from .sequences import CHEBYSHEV, POWER, SequenceSpec, product_in_basis, to_basis
 from .skein import (
     DEFAULT_CROSSING_CAP,
     SkeinVector,
@@ -45,77 +47,45 @@ CONTRADICTION = "contradiction"
 FORCES_A_ZERO = "forces a=0"
 
 
-class CurveSymbol(Record):
-    """A formal basis symbol of the loop-product expansion.
-
-    kind is one of "unit", "pn_z", "p1_zprime", "p1_zpos", "p1_zneg";
-    k is the winding index for the last two kinds.
-    """
-
-    __slots__ = ("kind", "k")  # str, int
-    _defaults = {"k": 0}
-
-    def sort_key(self):
-        # Unit, P_n(z), P_1(z'), then the winding pairs by k, positive first.
-        rank = {"unit": 0, "pn_z": 1, "p1_zprime": 2, "p1_zpos": 3, "p1_zneg": 3}
-        return (rank[self.kind], self.k, self.kind == "p1_zneg")
-
-    def label(self) -> str:
-        if self.kind == "unit":
-            return "1"
-        if self.kind == "pn_z":
-            return "P_n(z)"
-        if self.kind == "p1_zprime":
-            return "P_1(z')"
-        if self.kind == "p1_zpos":
-            return f"P_1(z_(1,{self.k}))"
-        return f"P_1(z_(1,-{self.k}))"
+# Labels of the loop-product expansion's basis symbols.
+UNIT = "1"
+PN_Z = "P_n(z)"
+P1_ZPRIME = "P_1(z')"
 
 
-UNIT = CurveSymbol("unit")
-PN_Z = CurveSymbol("pn_z")
-P1_ZPRIME = CurveSymbol("p1_zprime")
-
-
-def p1_zpos(k: int) -> CurveSymbol:
+def p1_zpos(k: int) -> str:
     if k < 1:
         raise ValueError("winding symbols need k >= 1")
-    return CurveSymbol("p1_zpos", k)
+    return f"P_1(z_(1,{k}))"
 
 
-def p1_zneg(k: int) -> CurveSymbol:
+def p1_zneg(k: int) -> str:
     if k < 1:
         raise ValueError("winding symbols need k >= 1")
-    return CurveSymbol("p1_zneg", k)
+    return f"P_1(z_(1,-{k}))"
 
 
 def loop_product_expansion(
     a: LaurentPoly, c: list[LaurentPoly]
-) -> dict[CurveSymbol, LaurentPoly]:
+) -> dict[str, LaurentPoly]:
     """Expand P_1(z')P_n(z) over the formal curve symbols, exactly.
 
     a is the constant of P_1(t) = t + a; c[0..n] are the coefficients of
-    P_n over the Chebyshev-style basis, with c[n] = 1 (monic).  Zero
-    coefficients are omitted from the result.
+    P_n over the Chebyshev-style basis, with c[n] = 1 (monic).  The result
+    maps symbol labels to coefficients in report order: the unit, P_n(z),
+    P_1(z'), then the winding pairs by k, positive first.  Zero
+    coefficients are omitted.
     """
     n = len(c) - 1
     if n < 0 or c[n] != ONE:
         raise ValueError("coefficient list must end with the monic leading 1")
-    out: dict[CurveSymbol, LaurentPoly] = {}
-
-    def put(sym: CurveSymbol, val: LaurentPoly):
-        if not val.is_zero():
-            out[sym] = val
-
-    put(PN_Z, a)
-    put(P1_ZPRIME, c[0])
+    terms = [(PN_Z, a), (P1_ZPRIME, c[0])]
     d = -(a * c[0])
     for k in range(1, n + 1):
-        put(p1_zpos(k), c[k] * q_power(k))
-        put(p1_zneg(k), c[k] * q_power(-k))
+        terms.append((p1_zpos(k), c[k] * q_power(k)))
+        terms.append((p1_zneg(k), c[k] * q_power(-k)))
         d = d - a * c[k] * (q_power(k) + q_power(-k))
-    put(UNIT, d)
-    return out
+    return {sym: val for sym, val in [(UNIT, d), *terms] if not val.is_zero()}
 
 
 class Constraint(Record):
@@ -135,66 +105,38 @@ class Constraint(Record):
 class ConstraintReport(Record):
     """Echo of the inputs, the expansion table, and the derived constraints.
 
-    Fields: subject (str), a (LaurentPoly or None), c (the coefficients),
-    table ((symbol label, coefficient) pairs), constraints and conclusion.
+    Fields: subject (str), a (LaurentPoly, or None for the arc condition),
+    c (the coefficients), table ((symbol label, coefficient) pairs) and
+    constraints.  The conclusion is derived, never stored.
     """
 
-    __slots__ = ("subject", "a", "c", "table", "constraints", "conclusion")
+    __slots__ = ("subject", "a", "c", "table", "constraints")
 
     def failed(self) -> list[Constraint]:
         return [x for x in self.constraints if not x.satisfied]
 
-    def ok(self) -> bool:
-        return self.conclusion == CONSISTENT
-
-    def to_json_dict(self, q1: bool = False) -> dict:
-        def render(v: LaurentPoly):
-            return v.eval_q1() if q1 else v.to_json_dict()
-
-        return {
-            "subject": self.subject,
-            "a": None if self.a is None else render(self.a),
-            "c": [render(x) for x in self.c],
-            "table": [{"symbol": s, "coeff": render(v)} for s, v in self.table],
-            "constraints": [
-                {
-                    "label": x.label,
-                    "value": render(x.value),
-                    "required": "identity"
-                    if x.kind == "identity"
-                    else ("Z_+" if q1 else "R_+"),
-                    "ok": x.passes(q1),
-                }
-                for x in self.constraints
-            ],
-            "conclusion": self.conclusion_for(q1),
-        }
+    @property
+    def conclusion(self) -> str:
+        """The conclusion over R_+."""
+        return self.conclusion_for(False)
 
     def conclusion_for(self, q1: bool = False) -> str:
-        """The conclusion, with every positivity requirement read over Z
-        when q1 is set."""
-        if not q1:
-            return self.conclusion
-        if not all(x.passes(True) for x in self.constraints):
+        """The one conclusion rule, with every positivity requirement and
+        the constant a read at q = 1 when q1 is set.
+
+        Over R_+ the forces-a=0 branch is unreachable for concrete inputs:
+        a nonzero a makes the constant term fail one of d and -d first.
+        """
+        if not all(x.passes(q1) for x in self.constraints):
             return CONTRADICTION
-        if self.a is not None and self.a.eval_q1() != 0:
+        if self.a is not None and (self.a.eval_q1() != 0 if q1 else not self.a.is_zero()):
             return FORCES_A_ZERO
         return CONSISTENT
 
 
-def _conclude(a: LaurentPoly | None, constraints: list[Constraint]) -> str:
-    if any(not x.satisfied for x in constraints):
-        return CONTRADICTION
-    if a is not None and not a.is_zero():
-        # Unreachable for concrete inputs: a nonzero a makes the constant
-        # term fail its paired positivity requirements above.
-        return FORCES_A_ZERO
-    return CONSISTENT
-
-
 def minimality_constraints(seq: SequenceSpec, n: int) -> ConstraintReport:
     """The full set of positivity requirements the loop expansion imposes
-    on seq at level n, plus the derived -d requirement and conclusion."""
+    on seq at level n, plus the derived -d requirement."""
     if n < 1:
         raise ValueError("n must be positive")
     p1 = seq[1]
@@ -203,23 +145,16 @@ def minimality_constraints(seq: SequenceSpec, n: int) -> ConstraintReport:
     table = loop_product_expansion(a, c)
     d = table.get(UNIT, ZERO)
     constraints = [
-        Constraint(sym.label(), val, val.is_positive())
-        for sym, val in sorted(table.items(), key=lambda kv: kv[0].sort_key())
-        if sym != UNIT
+        Constraint(sym, val, val.is_positive()) for sym, val in table.items() if sym != UNIT
     ]
     constraints.append(Constraint("d", d, d.is_positive()))
     constraints.append(Constraint("-d", -d, (-d).is_positive()))
-    ordered = tuple(
-        (s.label(), v)
-        for s, v in sorted(table.items(), key=lambda kv: kv[0].sort_key())
-    )
     return ConstraintReport(
         subject=f"loop minimality, seq={seq.name}, n={n}",
         a=a,
         c=tuple(c),
-        table=ordered,
+        table=tuple(table.items()),
         constraints=tuple(constraints),
-        conclusion=_conclude(a, constraints),
     )
 
 
@@ -275,7 +210,6 @@ def q_constraints(
         c=tuple(c),
         table=table,
         constraints=tuple(constraints),
-        conclusion=CONTRADICTION if any(not x.satisfied for x in constraints) else CONSISTENT,
     )
 
 
@@ -302,8 +236,6 @@ def structure_constant_audit(seq: SequenceSpec, max_n: int) -> AuditReport:
     of the annulus, for all products up to max_n."""
     if max_n < 1:
         raise ValueError("max_n must be positive")
-    from .sequences import product_in_basis
-
     rows = []
     for m in range(0, max_n + 1):
         for n in range(m, max_n + 1):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import skeincalc
-from skeincalc import cli
+from skeincalc import cli, positivity
 from skeincalc.cli import main
 
 
@@ -72,6 +72,36 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "resolve", f"core:{cli.MAX_CORE_LOOPS + 1}")
         assert code == 2
         assert f"K <= {cli.MAX_CORE_LOOPS}" in err
+
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_k_max_below_one_is_two(self, capsys, k_max):
+        code, out, err = run_cli(capsys, "arc-constraints", "--n", "3", "--k-max", k_max)
+        assert (code, out) == (2, "")
+        assert "--k-max >= 1" in err
+
+    @pytest.mark.parametrize(
+        "argv, limit, work",
+        [
+            (["minimality", "--n"], "MAX_MINIMALITY_N", "minimality_constraints"),
+            (["arc-constraints", "--n"], "MAX_ARC_N", "q_constraints"),
+            (["audit", "--max-n"], "MAX_AUDIT_N", "structure_constant_audit"),
+        ],
+        ids=["minimality", "arc-constraints", "audit"],
+    )
+    def test_size_limits(self, capsys, monkeypatch, argv, limit, work):
+        # The work runs at size 1 so that the limit itself stays cheap to accept.
+        real, calls, limit = getattr(cli, work), [], getattr(cli, limit)
+
+        def small(seq, size, *args, **kwargs):
+            calls.append(size)
+            return real(seq, 1, *args, **kwargs)
+
+        monkeypatch.setattr(cli, work, small)
+        code, out, err = run_cli(capsys, *argv, str(limit + 1))
+        assert (code, out, calls) == (2, "", [])
+        assert f"<= {limit}, got {limit + 1}" in err
+        code, _, _ = run_cli(capsys, *argv, str(limit))
+        assert (code, calls) == (0, [limit])
 
     def test_argparse_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -140,6 +170,31 @@ class TestReports:
         )
         assert code == 0
         assert "mod I" in out
+
+    @pytest.mark.parametrize(
+        "argv, largest",
+        [
+            (["--n", "5", "--k-max", "4"], "x^4 y_5 == q^-20 z_(4,5) mod I"),
+            (["--n", "8", "--cap", "64"], "x^8 y_8 == q^-64 z_(8,8) mod I"),
+        ],
+        ids=["k-max-4", "cap-64"],
+    )
+    def test_diagram_check_is_bounded_by_the_cap(self, capsys, argv, largest):
+        code, out, _ = run_cli(
+            capsys, "arc-constraints", "--seq", "power", *argv, "--diagram-check"
+        )
+        assert code == 0
+        assert largest in out
+
+    def test_diagram_check_over_cap_refuses_before_building(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a grid over the cap was built")
+
+        for name in ("build_xk_yn", "build_zkn"):
+            monkeypatch.setattr(positivity, name, refuse)
+        code, out, err = run_cli(capsys, "arc-constraints", "--n", "5", "--diagram-check")
+        assert (code, out) == (2, "")
+        assert "refusing to expand: xkyn:5,5 has 25 crossings" in err
 
     def test_audit(self, capsys):
         code, out, _ = run_cli(capsys, "audit", "--seq", "power", "--max-n", "4")
@@ -294,7 +349,9 @@ class TestStartup:
             "import skeincalc.cli, sys; "
             "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)), "
             "sorted({'_scan_range', 'classify_components', 'check_jobs'} "
-            "& set(vars(sys.modules['skeincalc.skein']))))"
+            "& set(vars(sys.modules['skeincalc.skein']))), "
+            "sorted({'RunConfig', 'config_from_args'} & set(vars(sys.modules['skeincalc.cli']))"
+            " | {'CurveSymbol'} & set(vars(sys.modules['skeincalc.positivity']))))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -303,4 +360,4 @@ class TestStartup:
             text=True,
             check=True,
         ).stdout
-        assert out.strip() == "[] []"
+        assert out.strip() == "[] [] []"

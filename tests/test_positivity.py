@@ -1,7 +1,10 @@
 """Constraint extraction: loop minimality, arc conditions, audits."""
 
+import json
+
 import pytest
 
+from skeincalc import cli
 from skeincalc.laurent import LaurentPoly, ONE, ZERO, q_power
 from skeincalc.positivity import (
     CONSISTENT,
@@ -177,10 +180,29 @@ class TestAudit:
         }
 
 
+WOBBLE = LaurentPoly({1: 1, -1: -1})  # q - q^-1: outside R_+, but 0 at q = 1
+
+# Loop and arc reports of both reachable conclusions; the wobbles change at q = 1.
+REPORTS = {
+    "loop t+1": lambda: minimality_constraints(plus_one_sequence(), 2),
+    "loop wobble": lambda: minimality_constraints(
+        CustomSequence({1: UniPoly([WOBBLE, 1])}, base=CHEBYSHEV), 2
+    ),
+    "arc power": lambda: q_constraints(POWER, 2, diagram_check=True),
+    "arc wobble": lambda: q_constraints(
+        CustomSequence({2: UniPoly([WOBBLE, 0, 1])}, base=POWER), 2, diagram_check=True
+    ),
+}
+
+
+def as_json(report, q1=False):
+    return json.loads(cli.emit_report(report, "json", q1))
+
+
 class TestReportShape:
     def test_json_round_trip_values(self):
         report = minimality_constraints(plus_one_sequence(), 2)
-        data = report.to_json_dict()
+        data = as_json(report)
         assert data["conclusion"] == CONTRADICTION
         d_rows = [c for c in data["constraints"] if c["label"] == "d"]
         assert d_rows == [
@@ -189,7 +211,7 @@ class TestReportShape:
 
     def test_q1_specialization(self):
         report = minimality_constraints(plus_one_sequence(), 2)
-        data = report.to_json_dict(q1=True)
+        data = as_json(report, q1=True)
         d_rows = [c for c in data["constraints"] if c["label"] == "d"]
         assert d_rows == [{"label": "d", "value": -2, "required": "Z_+", "ok": False}]
         assert data["conclusion"] == CONTRADICTION
@@ -197,11 +219,38 @@ class TestReportShape:
 
     def test_q1_json_carries_the_q1_conclusion(self):
         # a = q - q^-1 breaks R_+ but every value is >= 0 at q = 1.
-        seq = CustomSequence({1: UniPoly([LaurentPoly({1: 1, -1: -1}), 1])}, base=CHEBYSHEV)
+        seq = CustomSequence({1: UniPoly([WOBBLE, 1])}, base=CHEBYSHEV)
         report = minimality_constraints(seq, 2)
-        assert report.to_json_dict()["conclusion"] == CONTRADICTION
-        assert report.to_json_dict(q1=True)["conclusion"] == CONSISTENT
-        assert all(x["ok"] for x in report.to_json_dict(q1=True)["constraints"])
+        assert as_json(report)["conclusion"] == CONTRADICTION
+        assert as_json(report, q1=True)["conclusion"] == CONSISTENT
+        assert all(x["ok"] for x in as_json(report, q1=True)["constraints"])
+
+    def test_expansion_keys_follow_report_order(self):
+        out = loop_product_expansion(ONE, [ONE, ONE, ONE])
+        assert list(out) == [
+            "1",
+            "P_n(z)",
+            "P_1(z')",
+            "P_1(z_(1,1))",
+            "P_1(z_(1,-1))",
+            "P_1(z_(1,2))",
+            "P_1(z_(1,-2))",
+        ]
+
+    @pytest.mark.parametrize("q1", [False, True])
+    @pytest.mark.parametrize("make", REPORTS.values(), ids=REPORTS.keys())
+    def test_every_format_carries_the_one_conclusion(self, make, q1):
+        report = make()
+        want = report.conclusion_for(q1)
+        assert as_json(report, q1)["conclusion"] == want
+        assert cli.emit_report(report, "tsv", q1).splitlines()[-1] == f"conclusion\t{want}"
+        assert cli.emit_report(report, "text", q1).splitlines()[-1] == f"conclusion: {want}"
+
+    def test_wobble_reports_change_conclusion_at_q1(self):
+        for name in ("loop wobble", "arc wobble"):
+            report = REPORTS[name]()
+            assert report.conclusion == CONTRADICTION, name
+            assert report.conclusion_for(q1=True) == CONSISTENT, name
 
     def test_symbol_order_positive_first(self):
         report = minimality_constraints(CHEBYSHEV, 2)

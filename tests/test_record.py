@@ -7,7 +7,7 @@ import pytest
 
 from skeincalc.diagram import Annulus, Crossing, Diagram, Edge
 from skeincalc.laurent import ONE
-from skeincalc.positivity import CurveSymbol
+from skeincalc.positivity import Constraint
 from skeincalc.skein import AioArc, AnnulusPower, SkeinVector
 
 A = ("B", "p1", 0)
@@ -37,7 +37,7 @@ class TestRecord:
         assert Edge(A, B) == Edge(A, B, 0) == Edge(a=A, b=B, seam=0) == Edge(A, b=B)
         d = Diagram(surface=Annulus(), loops=(0,))
         assert (d.crossings, d.edges, d.loops, d.slots) == ((), frozenset(), (0,), ())
-        assert CurveSymbol("unit").k == 0
+        assert Constraint("c_0", ONE, True).kind == "positivity"
 
     @pytest.mark.parametrize(
         "args, kwargs",
