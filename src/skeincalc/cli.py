@@ -53,6 +53,7 @@ from .skein import (
     SkeinVector,
     full_boundary_ideal,
     grid_ideal,
+    refuse_over_cap,
     resolve_all,
     resolve_all_mod,
     theta_bullet,
@@ -303,7 +304,7 @@ def _emit_audit(report: AuditReport, fmt: str) -> str:
 def _cmd_verify_theta(args: argparse.Namespace) -> tuple[bool, str]:
     if args.n < 1:
         raise UsageError("verify-theta needs --n >= 1")
-    _refuse_over_cap(f"theta:{args.n}", args.n, args.cap)
+    refuse_over_cap(f"theta:{args.n}", args.n, args.cap)
     cases = [
         CaseResult(f"n={j}", theta_bullet(chebyshev(j), cap=args.cap), theta_transport_target(j))
         for j in range(1, args.n + 1)
@@ -323,7 +324,7 @@ def _cmd_verify_zkn(args: argparse.Namespace) -> tuple[bool, str]:
     k, n = args.k, args.n
     if not 1 <= k <= n:
         raise UsageError("verify-zkn needs 1 <= --k <= --n")
-    _refuse_over_cap(f"xkyn:{k},{n}", k * n, args.cap)
+    refuse_over_cap(f"xkyn:{k},{n}", k * n, args.cap)
     lhs, rhs = grid_identity(k, n, args.cap)
     report = IdentityReport(
         name="grid quotient",
@@ -368,7 +369,7 @@ def _cmd_arc_constraints(args: argparse.Namespace) -> tuple[bool, str]:
     if args.diagram_check:
         # The largest grid checked is x^k y_n with k = min(k_max, n).
         k = min(k_max or n, n)
-        _refuse_over_cap(f"xkyn:{k},{n}", k * n, args.cap)
+        refuse_over_cap(f"xkyn:{k},{n}", k * n, args.cap)
     report = q_constraints(
         load_sequence(args.seq), n, k_max, diagram_check=args.diagram_check, cap=args.cap
     )
@@ -382,14 +383,6 @@ def _check_size(command: str, flag: str, value: int, limit: int) -> None:
         raise UsageError(f"{command} needs {flag} >= 1")
     if value > limit:
         raise UsageError(f"{command} takes {flag} <= {limit}, got {value}")
-
-
-def _refuse_over_cap(spec: str, crossings: int, cap: int) -> None:
-    """Refuse a spec before building it when its crossings exceed the cap."""
-    if crossings > cap:
-        raise CrossingCapExceeded(
-            f"{spec} has {crossings} crossings; the expansion cap is {cap}"
-        )
 
 
 # core:K has no crossings, so no cap bounds it, yet it builds K loops
@@ -419,13 +412,13 @@ def _parse_diagram(spec: str, cap: int) -> Diagram:
             return build_core_stack(k)
         if name == "theta":
             k = int(args)
-            _refuse_over_cap(spec, k, cap)
+            refuse_over_cap(spec, k, cap)
             return build_theta_over_cores(k)
         if name in ("xkyn", "zkn"):
             k_s, _, n_s = args.partition(",")
             k, n = int(k_s), int(n_s)
             if k > 0 and n > 0:
-                _refuse_over_cap(spec, k * n, cap)
+                refuse_over_cap(spec, k * n, cap)
             return build_xk_yn(k, n) if name == "xkyn" else build_zkn(k, n)
         if name == "d1":
             return build_d1_xy()

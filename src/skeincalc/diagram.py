@@ -134,32 +134,63 @@ class Diagram(Record):
         return 0
 
     def validate(self) -> None:
-        """Check the port/endpoint bijection and per-surface constraints."""
-        expected = set()
-        for cr in self.crossings:
-            for k in range(4):
-                expected.add(("X", cr.id, k))
+        """Check the diagram, raising the ValueError ports() raises."""
+        self.ports()
+
+    def ports(self) -> tuple[list[int], list[int], list[int], list[int], list[tuple[str, int]]]:
+        """Validate the diagram and compile it to the flat port arrays resolvers walk.
+
+        Nodes are crossing ports (4*ci + port, ci the crossing's index)
+        followed by boundary slots.  Returns (to, w, pos, neg, slots):
+        to[v] is the node at the other end of v's edge and w[v] the seam
+        count from v to it; pos[v] and neg[v] are a port's partner in the
+        positive and negative smoothing; slots[v - 4c] is the (point,
+        slot) of a slot node.  Raises ValueError unless crossing ids are
+        distinct and sorted, every port and endpoint is one edge end, and
+        a disk carries no seam counts or winding loops.
+        """
+        ids = [cr.id for cr in self.crossings]
+        if len(set(ids)) != len(ids):
+            raise ValueError("crossing ids must be distinct")
+        node = {("X", cid, k): 4 * ci + k for ci, cid in enumerate(ids) for k in range(4)}
         pts = surface_points(self.surface)
+        slots: list[tuple[str, int]] = []
+        named = set()
         for p, n in self.slots:
             if p not in pts:
                 raise ValueError(f"slot list names unknown marked point {p!r}")
+            if p in named:
+                raise ValueError("slot list names a marked point twice")
+            named.add(p)
             for s in range(n):
-                expected.add(("B", p, s))
-        seen = []
-        for e in self.edges:
-            seen.extend((e.a, e.b))
-            if not has_seam(self.surface) and e.seam != 0:
+                node["B", p, s] = len(node)
+                slots.append((p, s))
+        if not has_seam(self.surface):
+            if any(e.seam for e in self.edges):
                 raise ValueError("seam counts must vanish on a disk")
-        if not has_seam(self.surface) and any(self.loops):
-            raise ValueError("free loops cannot wind on a disk")
-        if len(seen) != len(set(seen)):
+            if any(self.loops):
+                raise ValueError("free loops cannot wind on a disk")
+        ends = [x for e in self.edges for x in (e.a, e.b)]
+        if len(ends) != len(set(ends)):
             raise ValueError("an attachment point is used by more than one edge end")
-        if set(seen) != expected:
+        if set(ends) != node.keys():
             raise ValueError("edge ends do not cover every port and endpoint exactly once")
-        if any(w < 0 for w in self.loops):
+        if any(x < 0 for x in self.loops):
             raise ValueError("free loop windings are stored nonnegative")
-        if list(self.crossings) != sorted(self.crossings, key=lambda c: c.id):
+        if ids != sorted(ids):
             raise ValueError("crossings must be sorted by id")
+        to = [0] * len(node)
+        w = [0] * len(node)
+        for e in self.edges:
+            a, b = node[e.a], node[e.b]
+            to[a], w[a], to[b], w[b] = b, e.seam, a, -e.seam
+        pos = [0] * (4 * len(ids))
+        neg = [0] * (4 * len(ids))
+        for ci, cr in enumerate(self.crossings):
+            for partner, sign in ((pos, 1), (neg, -1)):
+                for i, j in smoothing_pairs(cr.over, sign):
+                    partner[4 * ci + i], partner[4 * ci + j] = 4 * ci + j, 4 * ci + i
+        return to, w, pos, neg, slots
 
     def to_json_dict(self) -> dict:
         if isinstance(self.surface, Disk):

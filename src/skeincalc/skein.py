@@ -8,10 +8,13 @@ Bar-Natan, "Fast Khovanov homology computations", arXiv:math/0606318):
 states that agree so far are merged, trivial loops are factored out as
 they close, and disk states die as soon as a finished arc is a trivial
 arc or an ideal generator.  A crossingless diagram is a frontier of zero
-steps, so normal forms take the same path.  The brute-force references
-that tests compare against -- the 2^c state scan, the single-crossing
-fold and the torus-knot Jones polynomials -- live in tests/.  Normal
-forms per surface:
+steps, so normal forms take the same path.  The diagram is validated and
+compiled to port arrays once per call, by Diagram.ports(); loops are
+classified only by the frontier, and _reduce_state only names the basis
+element of a surviving state.  The brute-force references that tests
+compare against -- the 2^c state scan, the single-crossing fold and the
+torus-knot Jones polynomials -- live in tests/.  Normal forms per
+surface:
 
 * annulus: winding-0 loops each contribute the scalar -q^2 - q^-2; the
   surviving core-parallel loops give the basis element z^m;
@@ -41,7 +44,6 @@ from .diagram import (
     MarkedAnnulus,
     Surface,
     build_theta_over_cores,
-    smoothing_pairs,
     surface_points,
 )
 from .laurent import LaurentPoly, ONE, q_power
@@ -280,26 +282,15 @@ def _reduce_state(
     points: tuple[str, ...],
     order: dict[str, int],
     arcs: list[tuple[str, int, str, int, int]],
-    loop_windings: Iterable[int],
-) -> tuple[BasisElement | None, int]:
-    """Map a crossingless state to (basis element, trivial-loop count).
-
-    Returns (None, 0) when the state is killed by the trivial-arc rule.
-    """
-    trivial = 0
-    essential = 0
-    for w in loop_windings:
-        w = abs(w)
-        if w == 0:
-            trivial += 1
-        elif w == 1:
-            essential += 1
-        else:
-            raise StructureError(f"embedded loops cannot wind {w} times")
+    essential: int,
+) -> BasisElement:
+    """The basis element of a crossingless state: its arcs, each (point_a,
+    slot_a, point_b, slot_b, winding from a to b), and its count of
+    essential loops.  Trivial loops and killed states never reach it."""
     if isinstance(surface, Annulus):
         if arcs:
             raise StructureError("the annulus model has no marked points for arcs")
-        return AnnulusPower(essential), trivial
+        return AnnulusPower(essential)
     if isinstance(surface, MarkedAnnulus):
         if len(arcs) != 1:
             raise StructureError("a marked-annulus tangle has exactly one arc")
@@ -307,23 +298,14 @@ def _reduce_state(
             raise StructureError(
                 "an essential loop next to the arc is impossible for an embedded diagram"
             )
-        a, sa, b, sb, w = arcs[0]
-        if a != "p1":
-            a, sa, b, sb, w = b, sb, a, sa, -w
-        return AioArc(w), trivial
-    # Disk: loops carry no seam, arcs between equal points kill the state.
-    if essential:
-        raise StructureError("disk loops cannot wind")
-    chords = []
-    for a, sa, b, sb, _ in arcs:
-        if a == b:
-            return None, 0
-        if (order[a], sa) <= (order[b], sb):
-            chords.append((a, sa, b, sb))
-        else:
-            chords.append((b, sb, a, sa))
+        a, _, _, _, w = arcs[0]
+        return AioArc(w if a == "p1" else -w)
+    chords = [
+        (a, sa, b, sb) if (order[a], sa) <= (order[b], sb) else (b, sb, a, sa)
+        for a, sa, b, sb, _ in arcs
+    ]
     chords.sort(key=lambda c: (order[c[0]], c[1], order[c[2]], c[3]))
-    return DiskMatching(points, tuple(chords)), trivial
+    return DiskMatching(points, tuple(chords))
 
 
 def normal_form(d: Diagram) -> SkeinVector:
@@ -334,58 +316,6 @@ def normal_form(d: Diagram) -> SkeinVector:
 
 
 # -- the state-sum engine ---------------------------------------------------------
-
-
-class _Scanner:
-    """A diagram compiled to the flat port arrays the frontier walks.
-
-    Nodes are crossing ports (4*ci + port) followed by boundary slots;
-    each node has one incident diagram edge, and each port additionally
-    one smoothing partner per sign.
-    """
-
-    def __init__(self, d: Diagram):
-        self.surface = d.surface
-        self.points = surface_points(d.surface)
-        crossings = list(d.crossings)
-        c = len(crossings)
-        self.c = c
-        cid_index = {cr.id: ci for ci, cr in enumerate(crossings)}
-        slot_node: dict[tuple[str, int], int] = {}
-        self.slot_info: list[tuple[str, int]] = []
-        nxt = 4 * c
-        for p, count in d.slots:
-            for s in range(count):
-                slot_node[(p, s)] = nxt
-                self.slot_info.append((p, s))
-                nxt += 1
-        self.slot_nodes = list(range(4 * c, nxt))
-
-        def node_of(att):
-            if att[0] == "X":
-                return 4 * cid_index[att[1]] + att[2]
-            return slot_node[(att[1], att[2])]
-
-        to = [-1] * nxt
-        w = [0] * nxt
-        for e in d.edges:
-            na, nb = node_of(e.a), node_of(e.b)
-            to[na], w[na] = nb, e.seam
-            to[nb], w[nb] = na, -e.seam
-        self.to = to
-        self.w = w
-        pos = [0] * (4 * c)
-        neg = [0] * (4 * c)
-        for ci, cr in enumerate(crossings):
-            for i, j in smoothing_pairs(cr.over, +1):
-                pos[4 * ci + i] = 4 * ci + j
-                pos[4 * ci + j] = 4 * ci + i
-            for i, j in smoothing_pairs(cr.over, -1):
-                neg[4 * ci + i] = 4 * ci + j
-                neg[4 * ci + j] = 4 * ci + i
-        self.pos = pos
-        self.neg = neg
-        self.base_loops = list(d.loops)
 
 
 @lru_cache(maxsize=None)
@@ -419,34 +349,41 @@ def _frontier_resolve(
     far; edges that touch no resolved crossing are the same in every
     state and stay implicit.  Its value is the raw {exponent:
     coefficient} weight summed over every choice of smoothings reaching
-    it.  A loop of winding 0 is factored out as -q^2 - q^-2 as soon as it
-    closes.  On a disk, a state dies as soon as a slot-to-slot path is
-    finished with both ends at one marked point, or between the endpoints
-    of an ideal generator: no later smoothing touches a finished path, so
-    pruning it early agrees with the 2^c state sum.  Surviving states go
-    through _reduce_state, the single reducer.  Pruned disk states skip
-    its checks; the only one that could fire there is the disk
-    StructureError for loops that wind, and validated disk diagrams have
-    zero seam counts and unwound free loops, so their loops never wind.
+    it.  This is the one place loops are classified: the diagram's free
+    loops seed the first state, and every loop closed later is counted
+    the same way, a loop of winding 0 factored out as -q^2 - q^-2 and
+    one of winding 1 counted as essential, while a larger winding cannot
+    occur for an embedded diagram and raises StructureError.  On a disk,
+    a state dies as soon as a slot-to-slot path is finished with both
+    ends at one marked point, or between the endpoints of an ideal
+    generator: no later smoothing touches a finished path, so pruning it
+    early agrees with the 2^c state sum.  Surviving states go through
+    _reduce_state, which only names their basis element.
     """
-    sc = _Scanner(d)
-    to, w, slot_info = sc.to, sc.w, sc.slot_info
-    ports = 4 * sc.c
+    to, w, pos, neg, slots = d.ports()
+    ports = len(pos)
+    slot_nodes = range(ports, len(to))
     kills: set[tuple[int, int]] = set()
-    if isinstance(sc.surface, Disk):
-        gens = set(ideal.generators) if ideal is not None else set()
-        for a in sc.slot_nodes:
-            for b in sc.slot_nodes:
-                pa, pb = slot_info[a - ports][0], slot_info[b - ports][0]
-                if pa == pb or (pa, pb) in gens or (pb, pa) in gens:
-                    kills.add((a, b))
-    if any((s, to[s]) in kills for s in sc.slot_nodes):
+    if isinstance(d.surface, Disk):
+        at: dict[str, list[int]] = {}
+        for v in slot_nodes:
+            at.setdefault(slots[v - ports][0], []).append(v)
+        gens = ideal.generators if ideal is not None else ()
+        for pa, pb in [(p, p) for p in at] + list(gens) + [(b, a) for a, b in gens]:
+            kills.update((a, b) for a in at.get(pa, ()) for b in at.get(pb, ()))
+    if any((s, to[s]) in kills for s in slot_nodes):
         return {}
-    frontier: dict[tuple, dict[int, int]] = {((), 0): {0: 1}}
-    for ci in range(sc.c):
+    wound = [x for x in d.loops if x > 1]
+    if wound:
+        raise StructureError(f"embedded loops cannot wind {wound[0]} times")
+    trivial = d.loops.count(0)
+    frontier: dict[tuple, dict[int, int]] = {
+        ((), len(d.loops) - trivial): dict(_loop_terms(trivial))
+    }
+    for ci in range(ports // 4):
         smoothings = [
             (shift, [(p, partner[p]) for p in range(4 * ci, 4 * ci + 4) if p < partner[p]])
-            for shift, partner in ((1, sc.pos), (-1, sc.neg))
+            for shift, partner in ((1, pos), (-1, neg))
         ]
         nxt: dict[tuple, dict[int, int]] = {}
         for (paths, essential), weight in frontier.items():
@@ -482,27 +419,31 @@ def _frontier_resolve(
                     key = (tuple(sorted((a, b, x) for a, (b, x) in ends.items() if a < b)), ess)
                     _accumulate(nxt.setdefault(key, {}), weight, shift, trivial)
         frontier = nxt
-    points = sc.points
+    points = surface_points(d.surface)
     order = {p: i for i, p in enumerate(points)}
     acc: dict[BasisElement, dict[int, int]] = {}
     for (paths, essential), weight in frontier.items():
         if not weight:
             continue
-        partner = {s: (to[s], w[s]) for s in sc.slot_nodes}
+        partner = {s: (to[s], w[s]) for s in slot_nodes}
         for a, b, x in paths:
             partner[a] = (b, x)
             partner[b] = (a, -x)
         arcs = [
-            (*slot_info[s - ports], *slot_info[t - ports], wind)
+            (*slots[s - ports], *slots[t - ports], wind)
             for s, (t, wind) in partner.items()
             if s < t
         ]
-        elem, trivial = _reduce_state(
-            sc.surface, points, order, arcs, sc.base_loops + [1] * essential
-        )
-        if elem is not None:
-            _accumulate(acc.setdefault(elem, {}), weight, 0, trivial)
+        elem = _reduce_state(d.surface, points, order, arcs, essential)
+        _accumulate(acc.setdefault(elem, {}), weight, 0, 0)
     return acc
+
+
+def refuse_over_cap(what: str, crossings: int, cap: int) -> None:
+    """Raise CrossingCapExceeded when crossings exceed the expansion cap;
+    the one rule the library and the command line both apply."""
+    if crossings > cap:
+        raise CrossingCapExceeded(f"{what} has {crossings} crossings; the expansion cap is {cap}")
 
 
 def _resolve(
@@ -510,13 +451,7 @@ def _resolve(
     ideal: IdealSpec | None,
     cap: int,
 ) -> SkeinVector:
-    c = d.crossing_count
-    if c > cap:
-        raise CrossingCapExceeded(
-            f"diagram has {c} crossings; the expansion cap is {cap} "
-            f"(2^{c} states exceed the configured budget)"
-        )
-    d.validate()
+    refuse_over_cap("diagram", d.crossing_count, cap)
     raw = _frontier_resolve(d, ideal)
     return SkeinVector({elem: LaurentPoly(terms) for elem, terms in raw.items()})
 

@@ -10,6 +10,7 @@ import random
 import pytest
 
 from skeincalc import (
+    Annulus,
     Crossing,
     Diagram,
     Disk,
@@ -17,38 +18,38 @@ from skeincalc import (
     LaurentPoly,
     LOOP_VALUE,
     SkeinVector,
+    StructureError,
     resolve_crossing,
 )
-from skeincalc.diagram import make_edge
+from skeincalc.diagram import make_edge, surface_points
 from skeincalc.laurent import q_power
-from skeincalc.skein import DiskMatching, _reduce_state, _Scanner
+from skeincalc.skein import DiskMatching, _reduce_state
 
 
-def scan_components(sc: _Scanner, mask: int):
+def scan_components(ports, mask: int):
     """Arcs and loop windings of the state where bit ci = 1 means the
-    ci-th crossing is resolved positively, traced edge by edge."""
-    to, w, pos, neg = sc.to, sc.w, sc.pos, sc.neg
-    ports = 4 * sc.c
+    ci-th crossing is resolved positively, traced edge by edge through
+    the arrays of Diagram.ports()."""
+    to, w, pos, neg, slots = ports
+    c4 = len(pos)
     seen = bytearray(len(to))
     arcs = []
-    for s in sc.slot_nodes:
+    for s in range(c4, len(to)):
         if seen[s]:
             continue
         seen[s] = 1
         wind = w[s]
         v = to[s]
-        while v < ports:
+        while v < c4:
             seen[v] = 1
             u = pos[v] if (mask >> (v >> 2)) & 1 else neg[v]
             seen[u] = 1
             wind += w[u]
             v = to[u]
         seen[v] = 1
-        pa, sa = sc.slot_info[s - ports]
-        pb, sb = sc.slot_info[v - ports]
-        arcs.append((pa, sa, pb, sb, wind))
-    loops = list(sc.base_loops)
-    for v0 in range(ports):
+        arcs.append((*slots[s - c4], *slots[v - c4], wind))
+    loops = []
+    for v0 in range(c4):
         if seen[v0]:
             continue
         wind = 0
@@ -64,21 +65,29 @@ def scan_components(sc: _Scanner, mask: int):
 
 
 def scan_resolve(d: Diagram, ideal: IdealSpec | None = None) -> SkeinVector:
-    """The 2^c state sum, each state traced and reduced on its own."""
-    sc = _Scanner(d)
-    order = {p: i for i, p in enumerate(sc.points)}
+    """The 2^c state sum, each state traced, classified and reduced on its
+    own: winding-0 loops are scalars, winding-1 loops essential, and a
+    disk state with an arc back to its own marked point or an ideal chord
+    is zero."""
+    ports = d.ports()
+    c = d.crossing_count
+    points = surface_points(d.surface)
+    order = {p: i for i, p in enumerate(points)}
     gens = set() if ideal is None else set(ideal.generators)
     acc: dict = {}
-    for mask in range(1 << sc.c):
-        arcs, loops = scan_components(sc, mask)
-        elem, trivial = _reduce_state(sc.surface, sc.points, order, arcs, loops)
-        if elem is None:
+    for mask in range(1 << c):
+        arcs, loops = scan_components(ports, mask)
+        loops += d.loops
+        if any(x > 1 for x in loops):
+            raise StructureError(f"embedded loops cannot wind {max(loops)} times")
+        if isinstance(d.surface, Disk) and any(a == b for a, _, b, _, _ in arcs):
             continue
+        elem = _reduce_state(d.surface, points, order, arcs, loops.count(1))
         if isinstance(elem, DiskMatching) and any(
             tuple(sorted(pair)) in gens for pair in elem.chord_pairs()
         ):
             continue
-        weight = q_power(2 * bin(mask).count("1") - sc.c) * LOOP_VALUE**trivial
+        weight = q_power(2 * bin(mask).count("1") - c) * LOOP_VALUE ** loops.count(0)
         acc[elem] = acc.get(elem, LaurentPoly()) + weight
     return SkeinVector(acc)
 
@@ -97,19 +106,24 @@ def fold_resolve(d: Diagram) -> SkeinVector:
     return pos + neg
 
 
-def closed_braid(word: list[int]) -> Diagram:
-    """The closure of a braid word on the unmarked disk.
+def closed_braid(word: list[int], surface=Disk(), ids: list[int] | None = None) -> Diagram:
+    """The closure of a braid word on the unmarked disk or the annulus.
 
     Letter i > 0 is sigma_i, the over-strand going from position i at the
     bottom to position i+1 at the top; -i is its inverse.  Ports are
     0 = SW, 1 = NW, 2 = NE, 3 = SE, strands run upward, and each closure
     edge joins a position's last port to its first one, so every position
-    must carry a crossing.  Crossing ids sort in word order.
+    must carry a crossing.  On the annulus the closure edges go around the
+    core, crossing the seam once each with count +1.  Letter j gets the
+    crossing id b{ids[j]:04d}, so a permutation ids shuffles the order the
+    resolver takes the crossings in; by default ids sort in word order.
     """
+    ids = range(len(word)) if ids is None else ids
+    seam = 1 if isinstance(surface, Annulus) else 0
     first: dict[int, tuple] = {}
     last: dict[int, tuple] = {}
     crossings, edges = [], []
-    for j, letter in enumerate(word):
+    for letter, j in zip(word, ids):
         i, cid = abs(letter), f"b{j:04d}"
         crossings.append(Crossing(cid, (0, 2) if letter > 0 else (1, 3)))
         for pos, bottom, top in ((i, 0, 1), (i + 1, 3, 2)):
@@ -118,8 +132,8 @@ def closed_braid(word: list[int]) -> Diagram:
             else:
                 first[pos] = ("X", cid, bottom)
             last[pos] = ("X", cid, top)
-    edges += [make_edge(last[pos], first[pos]) for pos in first]
-    return Diagram(Disk(), tuple(crossings), frozenset(edges))
+    edges += [make_edge(last[pos], first[pos], seam) for pos in first]
+    return Diagram(surface, tuple(sorted(crossings, key=lambda cr: cr.id)), frozenset(edges))
 
 
 def enumerate_states(d: Diagram):

@@ -44,6 +44,13 @@ class TestExitCodes:
         assert code == 2
         assert "refusing to expand" in err
 
+    def test_library_cap_refusal_message(self, capsys):
+        # verify-d1 leaves the cap to the library, which words it as the
+        # command line does for a spec.
+        code, out, err = run_cli(capsys, "verify-d1", "--cap", "0")
+        assert (code, out) == (2, "")
+        assert err == "refusing to expand: diagram has 1 crossings; the expansion cap is 0\n"
+
     def test_jobs_below_one_is_two(self, capsys):
         code, _, err = run_cli(capsys, "verify-theta", "--n", "1", "--jobs", "0")
         assert code == 2
@@ -348,7 +355,7 @@ class TestStartup:
         code = (
             "import skeincalc.cli, sys; "
             "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)), "
-            "sorted({'_scan_range', 'classify_components', 'check_jobs'} "
+            "sorted({'_scan_range', '_Scanner', 'classify_components', 'check_jobs'} "
             "& set(vars(sys.modules['skeincalc.skein']))), "
             "sorted({'RunConfig', 'config_from_args'} & set(vars(sys.modules['skeincalc.cli']))"
             " | {'CurveSymbol'} & set(vars(sys.modules['skeincalc.positivity']))))"

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import collect_loop_windings, enumerate_states, fold_resolve, scan_resolve
+from conftest import (
+    closed_braid,
+    collect_loop_windings,
+    enumerate_states,
+    fold_resolve,
+    scan_resolve,
+)
 from skeincalc.diagram import (
     Annulus,
     Diagram,
@@ -161,8 +167,9 @@ class TestResolveAll:
         assert total == resolve_all(d)
 
     def test_cap_refusal(self):
-        with pytest.raises(CrossingCapExceeded):
+        with pytest.raises(CrossingCapExceeded) as info:
             resolve_all(build_xk_yn(2, 3), cap=5)
+        assert str(info.value) == "diagram has 6 crossings; the expansion cap is 5"
 
     def test_rejects_winding_disk_loop(self):
         # The arc a@0-a@1 kills every state before the loop is looked at,
@@ -176,6 +183,41 @@ class TestResolveAll:
         for check in (Diagram.validate, resolve_all, normal_form):
             with pytest.raises(ValueError, match="free loops cannot wind on a disk"):
                 check(d)
+
+    def test_rejects_repeated_crossing_id(self):
+        # Without the check this validated, and resolve_all returned
+        # 1 + q^2 + q^4 + q^6: the first copy's ports were never joined
+        # to anything, and the frontier read them as attached to node -1.
+        k = build_kink(1)
+        d = Diagram(k.surface, k.crossings * 2, k.edges)
+        for check in (Diagram.validate, resolve_all):
+            with pytest.raises(ValueError, match="crossing ids must be distinct"):
+                check(d)
+
+    def test_rejects_repeated_slot_point(self):
+        # Without the check this validated, leaving the first p0 slot as
+        # a node no edge reaches.
+        d1, z = build_d1_xy(), build_zkn(1, 1)
+        for d, check in ((d1, Diagram.validate), (d1, resolve_all), (z, normal_form)):
+            bad = Diagram(d.surface, d.crossings, d.edges, d.loops, d.slots + (("p0", 1),))
+            with pytest.raises(ValueError, match="slot list names a marked point twice"):
+                check(bad)
+
+    def test_each_call_compiles_once(self, monkeypatch):
+        compiled = []
+        compile_ports = Diagram.ports
+        monkeypatch.setattr(Diagram, "ports", lambda d: compiled.append(d) or compile_ports(d))
+        d, z = build_xk_yn(2, 2), build_zkn(2, 2)
+        calls = [
+            lambda: d.validate(),
+            lambda: resolve_all(d),
+            lambda: resolve_all_mod(d, grid_ideal(2)),
+            lambda: normal_form(z),
+        ]
+        for call in calls:
+            compiled.clear()
+            call()
+            assert len(compiled) == 1
 
     def test_validates_before_resolving(self):
         d = build_xk_yn(2, 2)
@@ -397,6 +439,19 @@ def partial_diagrams(draw):
     return d, ideal
 
 
+@st.composite
+def braid_closures(draw):
+    """A braid word of 2-5 strands and at most 8 letters of random signs,
+    using every generator so that every position carries a crossing, with
+    shuffled crossing ids, and the surface it is closed on."""
+    strands = draw(st.integers(2, 5))
+    extra = draw(st.lists(st.integers(1, strands - 1), max_size=9 - strands))
+    letters = draw(st.permutations(list(range(1, strands)) + extra))
+    word = [draw(st.sampled_from((1, -1))) * i for i in letters]
+    ids = draw(st.permutations(range(len(word))))
+    return word, ids, draw(st.sampled_from((Disk(), Annulus())))
+
+
 class TestFrontierAgainstOracles:
     @settings(max_examples=200, derandomize=True, deadline=None, database=None)
     @given(partial_diagrams())
@@ -408,3 +463,12 @@ class TestFrontierAgainstOracles:
         else:
             got = resolve_all_mod(d, ideal)
         assert got == scan_resolve(d, ideal)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(braid_closures())
+    def test_closed_braids_match_scan_and_fold(self, case):
+        word, ids, surface = case
+        d = closed_braid(word, surface, ids)
+        got = resolve_all(d)
+        assert got == scan_resolve(d) == fold_resolve(d)
+        assert got == resolve_all(closed_braid(word, surface))
