@@ -389,10 +389,10 @@ def _check_size(command: str, flag: str, value: int, limit: int) -> None:
 # (about 20 bytes each) before anything is printed.
 MAX_CORE_LOOPS = 100_000
 
-# Size limits of the report commands: the largest round values whose worst
-# built-in sequence stays within about 4 s and 150 MiB (Python 3.11, 2-CPU
-# host).  minimality --n 1000 took 2.7 s and 132 MiB, arc-constraints
-# --seq chebyshev --n 1000 3.2 s and 133 MiB, audit --max-n 100 3.5 s.
+# Size limits of the report commands: at each, the worst built-in sequence
+# stays well within 4 s and 150 MiB (Python 3.11, 2-CPU host).  minimality
+# --n 1000 takes 1.5 s and 110 MiB, arc-constraints --seq chebyshev --n 1000
+# 1.7 s and 111 MiB, audit --max-n 100 1.0 s and 20 MiB.
 MAX_MINIMALITY_N = 1000
 MAX_ARC_N = 1000
 MAX_AUDIT_N = 100

@@ -18,7 +18,7 @@ Conventions, fixed once and used by every builder:
   smoothing of an arc crossing over a core loop come out as the arc of
   winding +1.
 
-Diagrams are immutable; resolve_crossing returns a fresh value, so
+Diagrams are immutable; resolve_crossings returns a fresh value, so
 fan-out over resolution choices can share structure freely.
 """
 
@@ -302,9 +302,7 @@ def build_zkn(k: int, n: int) -> Diagram:
     if not 1 <= k <= n:
         raise ValueError("requires 1 <= k <= n")
     d = build_xk_yn(k, n)
-    for cid in [c.id for c in d.crossings]:
-        d = resolve_crossing(d, cid, -1)
-    return d
+    return resolve_crossings(d, {c.id: -1 for c in d.crossings})
 
 
 def build_d1_xy() -> Diagram:
@@ -331,46 +329,56 @@ def build_kink(sign: int) -> Diagram:
     return _diagram(Disk(), [crossing], edges)
 
 
-# -- single-crossing resolution ----------------------------------------------
+# -- crossing resolution -----------------------------------------------------
 
 
 def resolve_crossing(d: Diagram, cid: str, sign: int) -> Diagram:
-    """Remove one crossing, reconnecting its ports per the smoothing rule.
+    """Remove one crossing; see resolve_crossings."""
+    return resolve_crossings(d, {cid: sign})
+
+
+def resolve_crossings(d: Diagram, signs: dict[str, int]) -> Diagram:
+    """Remove the crossings named in signs, in id order, reconnecting the
+    ports of each per the smoothing rule of its sign.
 
     Seam counts of merged edges add up (with orientation); an edge whose
-    two ends get joined to each other closes into a free loop.
+    two ends get joined to each other closes into a free loop.  The edge
+    map is built once, so the cost is linear in the diagram's size.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    cr = d.crossing(cid)
+    over = {cr.id: cr.over for cr in d.crossings}
     by_end: dict[Attachment, Edge] = {}
     for e in d.edges:
         by_end[e.a] = e
         by_end[e.b] = e
     loops = list(d.loops)
-    for i, j in smoothing_pairs(cr.over, sign):
-        ai: Attachment = ("X", cid, i)
-        aj: Attachment = ("X", cid, j)
-        ei = by_end.pop(ai)
-        ej = by_end.pop(aj)
-        if ei is ej:
-            # The edge ran from port i to port j; the smoothing closes it.
-            loops.append(abs(ei.seam))
-            continue
-        if ei.a == ai:
-            far_i, w_i = ei.b, -ei.seam
-        else:
-            far_i, w_i = ei.a, ei.seam
-        if ej.a == aj:
-            far_j, w_j = ej.b, ej.seam
-        else:
-            far_j, w_j = ej.a, -ej.seam
-        merged = make_edge(far_i, far_j, w_i + w_j)
-        by_end[far_i] = merged
-        by_end[far_j] = merged
+    for cid in sorted(signs):
+        if signs[cid] not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        if cid not in over:
+            raise ValueError(f"unknown crossing id {cid!r}")
+        for i, j in smoothing_pairs(over[cid], signs[cid]):
+            ai: Attachment = ("X", cid, i)
+            aj: Attachment = ("X", cid, j)
+            ei = by_end.pop(ai)
+            ej = by_end.pop(aj)
+            if ei is ej:
+                # The edge ran from port i to port j; the smoothing closes it.
+                loops.append(abs(ei.seam))
+                continue
+            if ei.a == ai:
+                far_i, w_i = ei.b, -ei.seam
+            else:
+                far_i, w_i = ei.a, ei.seam
+            if ej.a == aj:
+                far_j, w_j = ej.b, ej.seam
+            else:
+                far_j, w_j = ej.a, -ej.seam
+            merged = make_edge(far_i, far_j, w_i + w_j)
+            by_end[far_i] = merged
+            by_end[far_j] = merged
     return _diagram(
         d.surface,
-        [c for c in d.crossings if c.id != cid],
+        [c for c in d.crossings if c.id not in signs],
         set(by_end.values()),
         loops=loops,
         slots=d.slots,

@@ -7,15 +7,14 @@ T_n = t*T_{n-1} - T_{n-2} from there on, and the power sequence t^n.
 Everything else is exact basis conversion between such sequences, which is
 division by remainder against monic leading terms.
 
-All `UniPoly` ring work goes through one kernel, `_addmul`, on a working
-buffer: a list with one mutable {exponent: int} dict per power of t.  It
-adds sign * c * row[i] into slot shift + i in place.  A product is one
-`_addmul` per nonzero coefficient of the left factor; `to_basis` walks
-the buffer from the top degree down and subtracts c_j * seq[j] wherever
-slot j is nonzero, so what is left is exactly p - sum c_k * seq[k];
-`product_in_basis` reduces the product buffer in place and never builds
-the product polynomial.  Each slot becomes a `LaurentPoly` once, at the
-end, with its cancelled zeros dropped.
+All `UniPoly` ring work goes through one packed kernel (Kronecker
+substitution): a polynomial is one int whose signed base-2^B digit at
+i * W + e - lo is the coefficient of q^e t^i, so a product is one big-int
+multiply.  Packing is injective only while every digit lies in
+(-2^(B-1), 2^(B-1)) and every exponent in the frame [lo, lo + W).  Sums
+and products size B and the frame from an a-priori bound; `to_basis` and
+`product_in_basis` cannot, so they check the bound as they divide and
+start over wider when it fails.  A polynomial keeps its packed forms.
 """
 
 from __future__ import annotations
@@ -33,13 +32,15 @@ class UniPoly:
     index of the last stored coefficient (-1 for the zero polynomial).
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_stats", "_packs")
 
     def __init__(self, coeffs: Iterable[LaurentPoly | int] = ()):
         cs = [c if isinstance(c, LaurentPoly) else LaurentPoly(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "_coeffs", tuple(cs))
+        object.__setattr__(self, "_stats", None)
+        object.__setattr__(self, "_packs", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -66,23 +67,21 @@ class UniPoly:
     def __add__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return _linear(((ONE, self._coeffs, 1), (ONE, other._coeffs, 1)))
+        return _combine(((_ONE, self), (_ONE, other)))
 
     def __neg__(self) -> "UniPoly":
-        return _linear(((ONE, self._coeffs, -1),))
+        return _combine(((_MINUS_ONE, self),))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return _linear(((ONE, self._coeffs, 1), (ONE, other._coeffs, -1)))
+        return _combine(((_ONE, self), (_MINUS_ONE, other)))
 
     def __mul__(self, other) -> "UniPoly":
+        if isinstance(other, (int, LaurentPoly)):
+            other = UniPoly((other,))
         if isinstance(other, UniPoly):
-            return _finish(_product(self._coeffs, other._coeffs))
-        if isinstance(other, int):
-            other = LaurentPoly(other)
-        if isinstance(other, LaurentPoly):
-            return _linear(((other, self._coeffs, 1),))
+            return _combine(((self, other),))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -128,59 +127,91 @@ class UniPoly:
         return f"UniPoly('{self}')"
 
 
-# -- the working buffer ----------------------------------------------------------
-
-Row = Sequence[LaurentPoly]
+# -- the packed kernel ----------------------------------------------------------
 
 
-def _addmul(acc: list[dict[int, int]], shift: int, c: LaurentPoly, row: Row, sign: int) -> None:
-    """acc[shift + i] += sign * c * row[i] for every i, in place.
-
-    acc holds one {exponent: int} dict per power of t and is extended when
-    row reaches past its end.  Cancelled terms stay behind as stored
-    zeros until `_finish` or `_reduce` reads the slot.
-    """
-    short = shift + len(row) - len(acc)
-    if short > 0:
-        acc.extend({} for _ in range(short))
-    for e1, v1 in c._terms.items():
-        v1 *= sign
-        for slot, r in zip(acc[shift:], row):
-            rt = r._terms
-            if not rt:
-                continue
-            get = slot.get
-            for e2, v2 in rt.items():
-                e = e1 + e2
-                slot[e] = get(e, 0) + v1 * v2
+def _stats(p: UniPoly) -> tuple[int, int, int, int, int]:
+    """(lowest degree of t, lowest and highest exponent of q, largest
+    |coefficient|, number of terms) of p, kept on p; all 0 for p = 0."""
+    if p._stats is None:
+        terms = [t for c in p._coeffs for t in c._terms.items()]
+        es = [e for e, _ in terms] or [0]
+        i0 = next((i for i, c in enumerate(p._coeffs) if c._terms), 0)
+        big = max((abs(v) for _, v in terms), default=0)
+        object.__setattr__(p, "_stats", (i0, min(es), max(es), big, len(terms)))
+    return p._stats
 
 
-def _wrap(terms: dict[int, int]) -> LaurentPoly:
-    """One buffer slot as a LaurentPoly, its cancelled zeros dropped."""
-    return LaurentPoly._adopt({e: v for e, v in terms.items() if v})
+def _width(bound: int) -> int:
+    """The digit width B: the least power of two from 8 with bound < 2^(B-1)."""
+    return max(8, 1 << bound.bit_length().bit_length())
 
 
-def _finish(acc: list[dict[int, int]]) -> UniPoly:
-    return UniPoly([_wrap(terms) for terms in acc])
+def _pack(p: UniPoly, B: int, W: int) -> int:
+    """p as one int, kept on p: c * q^e t^i is the digit at
+    (i - i0) * W + e - lo, where i0 and lo are p's lowest degree and
+    exponent."""
+    K = p._packs.get((B, W))
+    if K is None:
+        nb, (i0, lo, *_) = B >> 3, _stats(p)
+        pos = bytearray((len(p._coeffs) - i0) * W * nb)
+        neg = bytearray(len(pos))
+        for i, c in enumerate(p._coeffs[i0:]):
+            for e, v in c._terms.items():
+                k = (i * W + e - lo) * nb
+                (pos if v > 0 else neg)[k : k + nb] = abs(v).to_bytes(nb, "little")
+        K = p._packs[B, W] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    return K
 
 
-def _linear(terms: Iterable[tuple[LaurentPoly, Row, int]]) -> UniPoly:
-    """sum(sign * c * row) over (c, row, sign), built in one buffer."""
-    acc: list[dict[int, int]] = []
-    for c, row, sign in terms:
-        _addmul(acc, 0, c, row, sign)
-    return _finish(acc)
+def _unpack(K: int, B: int, W: int, lo: int, n: int) -> list[LaurentPoly]:
+    """The n coefficients packed in K, frame [lo, lo + W).  Adding 2^(B-1)
+    to every digit makes each a plain unsigned field, free of carries."""
+    nb, half = B >> 3, 1 << (B - 1)
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * (n * W), "little")
+    buf, out = (K + bias).to_bytes(n * W * nb, "little"), []
+    for i in range(0, len(buf), W * nb):
+        terms = {}
+        for e in range(W):
+            if v := int.from_bytes(buf[i + e * nb : i + e * nb + nb], "little") - half:
+                terms[lo + e] = v
+        out.append(LaurentPoly._adopt(terms) if terms else ZERO)
+    return out
 
 
-def _product(a: Row, b: Row) -> list[dict[int, int]]:
-    """The buffer of a * b: one `_addmul` per nonzero coefficient of a."""
-    acc: list[dict[int, int]] = []
-    for i, c in enumerate(a):
-        if c._terms:
-            _addmul(acc, i, c, b, 1)
-    return acc
+Pairs = Sequence[tuple[UniPoly, UniPoly]]
 
 
+def _frame(pairs: Pairs) -> tuple[int, int, int, int]:
+    """(lo, hi, bound, n) for sum a * p: its exponents lie in [lo, hi],
+    no coefficient of it or of a factor exceeds bound in size, and n
+    coefficients hold it."""
+    ends, bound, big, n = [], 0, 0, 0
+    for a, p in pairs:
+        (_, alo, ahi, am, an), (_, plo, phi, pm, pn) = _stats(a), _stats(p)
+        ends += (alo + plo, ahi + phi)
+        bound, big = bound + am * pm * min(an, pn), max(big, am, pm)
+        n = max(n, len(a._coeffs) + len(p._coeffs) - 1)
+    return min(ends, default=0), max(ends, default=0), max(bound, big), n
+
+
+def _sum(pairs: Pairs, B: int, W: int, lo: int) -> int:
+    """sum a * p packed in the frame [lo, lo + W), which must hold it."""
+    K = 0
+    for a, p in pairs:
+        (ai, alo, *_), (pi, plo, *_) = _stats(a), _stats(p)
+        K += _pack(a, B, W) * _pack(p, B, W) << B * ((ai + pi) * W + alo + plo - lo)
+    return K
+
+
+def _combine(pairs: Pairs) -> UniPoly:
+    """sum a * p over pairs, B and the frame sized by _frame."""
+    lo, hi, bound, n = _frame(pairs)
+    B, W = _width(bound), hi - lo + 1
+    return UniPoly(_unpack(_sum(pairs, B, W, lo), B, W, lo, n))
+
+
+_ONE, _MINUS_ONE = UniPoly([1]), UniPoly([-1])
 T_VAR = UniPoly([0, 1])
 
 _CHEBYSHEV = [UniPoly([1]), T_VAR, UniPoly([-2, 0, 1])]
@@ -201,9 +232,17 @@ def chebyshev(n: int) -> UniPoly:
     if n >= len(table):
         # Grow a copy and publish it whole: a concurrent caller sees the
         # old table or the new one, never a half-built one.
-        table = list(table)
+        table, B = list(table), 0
+        a, b = (_stats(p)[3] for p in table[-2:])
         while len(table) <= n:
-            table.append(T_VAR * table[-1] - table[-2])
+            # Packed at width B, t * T_(k-1) - T_(k-2) is a shift and a
+            # subtraction; a + b bounds every coefficient of T_k.
+            a, b = b, a + b
+            if _width(b) != B:
+                B = _width(b)
+                K0, K1 = (_sum(((_ONE, p),), B, 1, 0) for p in table[-2:])
+            K0, K1 = K1, (K1 << B) - K0
+            table.append(UniPoly(_unpack(K1, B, 1, 0, len(table) + 1)))
         _CHEBYSHEV = table
     return table[n]
 
@@ -213,7 +252,7 @@ def power(n: int) -> UniPoly:
     n = index(n)
     if n < 0:
         raise ValueError("power index must be nonnegative")
-    return UniPoly([0] * n + [1])
+    return UniPoly([ZERO] * n + [ONE])
 
 
 class SequenceSpec:
@@ -288,23 +327,37 @@ CHEBYSHEV = ChebyshevSequence()
 POWER = PowerSequence()
 
 
-def _reduce(acc: list[dict[int, int]], seq: SequenceSpec) -> list[LaurentPoly]:
-    """Basis coefficients of the buffer's polynomial, by division with
-    remainder from the top degree down; the buffer is consumed.
-
-    Where slot j is nonzero its value is c_j, and c_j * seq[j] is
-    subtracted whole, its part at and above t^j included, so the buffer
-    ends as p - sum c_k * seq[k].  That is 0 when every entry read is
-    monic of its degree; a nonzero residual means the table is broken.
-    """
-    out = [ZERO] * len(acc)
-    for j in range(len(acc) - 1, -1, -1):
-        if any(acc[j].values()):
-            cj = out[j] = _wrap(acc[j])
-            _addmul(acc, 0, cj, seq[j].coeffs, -1)
-    if any(any(terms.values()) for terms in acc):
-        raise AssertionError("basis conversion left a nonzero residual")
-    return out
+def _reduce(pairs: Pairs, seq: SequenceSpec) -> list[LaurentPoly]:
+    """Basis coefficients of P = sum a * p over pairs, by division with
+    remainder from the top degree down: where slot j of the packed K is
+    nonzero it is c_j, and c_j * seq[j] is subtracted whole, so K ends as
+    P - sum c_k * seq[k], 0 unless an entry read is not monic of its
+    degree.  No digit exceeds total = bound + sum |c_k * seq[k]|; once
+    that reaches 2^(B-1), or c_k * seq[k] leaves the frame, the pass
+    restarts wider; each step does so at most once, so n + 1 passes do."""
+    lo, hi, bound, n = _frame(pairs)
+    B = _width(bound)
+    for _ in range(n + 1):
+        W = hi - lo + 1
+        BW, K, total, out, j = B * W, _sum(pairs, B, W, lo), bound, [ZERO] * n, n
+        # The balanced residue of K below slot j: slots j and up are done.
+        while j and (low := ((K + (h := 1 << (BW * j - 1))) & (2 * h - 1)) - h):
+            j = abs(low).bit_length() // BW
+            S = (low + (1 << BW * j >> 1)) >> BW * j
+            out[j] = _unpack(S, B, W, lo, 1)[0]
+            c = out[j]._terms
+            si, slo, shi, sm, sn = _stats(seq[j])
+            clo, chi = min(c), max(c)
+            total += max(map(abs, c.values())) * sm * min(len(c), sn)
+            if clo + slo < lo or chi + shi > hi or total >> (B - 1):
+                lo, hi, B = min(lo, clo + slo), max(hi, chi + shi), _width(total)
+                break
+            K -= (S >> B * (clo - lo)) * _pack(seq[j], B, W) << B * (si * W + clo + slo - lo)
+        else:
+            if K:
+                raise AssertionError("basis conversion left a nonzero residual")
+            return out
+    raise AssertionError("packed basis conversion did not settle")
 
 
 def to_basis(p: UniPoly, seq: SequenceSpec) -> list[LaurentPoly]:
@@ -312,20 +365,20 @@ def to_basis(p: UniPoly, seq: SequenceSpec) -> list[LaurentPoly]:
 
     seq[k] is read only where c_k is nonzero.
     """
-    return _reduce([dict(c._terms) for c in p.coeffs], seq)
+    return _reduce(((_ONE, p),), seq)
 
 
 def from_basis(coeffs: Sequence[LaurentPoly], seq: SequenceSpec) -> UniPoly:
     """Inverse of to_basis: rebuild the polynomial from its coefficients."""
-    return _linear((c, seq[k].coeffs, 1) for k, c in enumerate(coeffs) if c._terms)
+    return _combine([(UniPoly((c,)), seq[k]) for k, c in enumerate(coeffs) if c._terms])
 
 
 def product_in_basis(seq: SequenceSpec, m: int, n: int) -> list[LaurentPoly]:
     """Coefficients of seq[m] * seq[n] expanded back in the basis {seq[k]}.
 
-    The product buffer is reduced in place; the product polynomial is
+    The packed product is reduced directly; the product polynomial is
     never built.
     """
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    return _reduce(_product(seq[m].coeffs, seq[n].coeffs), seq)
+    return _reduce(((seq[m], seq[n]),), seq)

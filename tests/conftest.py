@@ -1,6 +1,7 @@
 """Shared test helpers: the brute-force oracles the frontier resolver is
 checked against (a 2^c state scan, a single-crossing fold, closed braids
-with known Jones polynomials) and random Laurent polynomial generation."""
+with known Jones polynomials), the dict-buffer reference for the packed
+sequence kernel, and random Laurent polynomial generation."""
 
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from skeincalc import (
     resolve_crossing,
 )
 from skeincalc.diagram import make_edge, surface_points
-from skeincalc.laurent import q_power
+from skeincalc.laurent import ZERO, q_power
+from skeincalc.sequences import UniPoly
 from skeincalc.skein import DiskMatching, _reduce_state
 
 
@@ -152,6 +154,75 @@ def collect_loop_windings(d: Diagram) -> set[int]:
     for _, state in enumerate_states(d):
         out.update(state.loops)
     return out
+
+
+# -- the dict-buffer reference for UniPoly arithmetic and basis conversion ------
+#
+# A working buffer holds one mutable {exponent: int} dict per power of t;
+# every coefficient product is one dict update, so nothing is packed and
+# no digit width or exponent frame can be too small.
+
+
+def ref_addmul(acc: list[dict[int, int]], shift: int, c: LaurentPoly, row, sign: int) -> None:
+    """acc[shift + i] += sign * c * row[i] for every i, in place; acc is
+    extended when row reaches past its end."""
+    short = shift + len(row) - len(acc)
+    if short > 0:
+        acc.extend({} for _ in range(short))
+    for e1, v1 in c.terms().items():
+        for slot, r in zip(acc[shift:], row):
+            for e2, v2 in r.terms().items():
+                slot[e1 + e2] = slot.get(e1 + e2, 0) + sign * v1 * v2
+
+
+def ref_wrap(terms: dict[int, int]) -> LaurentPoly:
+    return LaurentPoly({e: v for e, v in terms.items() if v})
+
+
+def ref_linear(terms) -> UniPoly:
+    """sum(sign * c * row) over (c, row, sign)."""
+    acc: list[dict[int, int]] = []
+    for c, row, sign in terms:
+        ref_addmul(acc, 0, c, row, sign)
+    return UniPoly([ref_wrap(t) for t in acc])
+
+
+def ref_product(a, b) -> list[dict[int, int]]:
+    """The buffer of a * b: one ref_addmul per nonzero coefficient of a."""
+    acc: list[dict[int, int]] = []
+    for i, c in enumerate(a):
+        if not c.is_zero():
+            ref_addmul(acc, i, c, b, 1)
+    return acc
+
+
+def ref_reduce(acc: list[dict[int, int]], seq) -> list[LaurentPoly]:
+    """Division with remainder from the top degree down: where slot j is
+    nonzero it is c_j, and c_j * seq[j] is subtracted whole."""
+    out = [ZERO] * len(acc)
+    for j in range(len(acc) - 1, -1, -1):
+        if any(acc[j].values()):
+            cj = out[j] = ref_wrap(acc[j])
+            ref_addmul(acc, 0, cj, seq[j].coeffs, -1)
+    if any(any(terms.values()) for terms in acc):
+        raise AssertionError("basis conversion left a nonzero residual")
+    return out
+
+
+def ref_mul(a: UniPoly, b: UniPoly) -> UniPoly:
+    return UniPoly([ref_wrap(t) for t in ref_product(a.coeffs, b.coeffs)])
+
+
+def ref_to_basis(p: UniPoly, seq) -> list[LaurentPoly]:
+    return ref_reduce([c.terms() for c in p.coeffs], seq)
+
+
+def ref_from_basis(coeffs, seq) -> UniPoly:
+    return ref_linear((c, seq[k].coeffs, 1) for k, c in enumerate(coeffs) if not c.is_zero())
+
+
+def ref_product_in_basis(seq, m: int, n: int) -> list[LaurentPoly]:
+    return ref_reduce(ref_product(seq[m].coeffs, seq[n].coeffs), seq)
 
 
 def random_laurent(rng: random.Random, span: int = 6, size: int = 4) -> LaurentPoly:

@@ -1,4 +1,6 @@
-"""Builders, diagram invariants, and single-crossing resolution."""
+"""Builders, diagram invariants, and crossing resolution."""
+
+import random
 
 import pytest
 
@@ -16,6 +18,7 @@ from skeincalc.diagram import (
     disk_surface,
     make_edge,
     resolve_crossing,
+    resolve_crossings,
     smoothing_pairs,
 )
 from skeincalc.skein import AioArc, SkeinVector, normal_form
@@ -135,11 +138,32 @@ class TestResolveCrossing:
         assert normal_form(d) == SkeinVector.single(AioArc(-1))
 
     def test_zkn_equals_negative_fold(self):
-        for k, n in [(1, 1), (1, 2), (2, 2), (2, 3)]:
-            d = build_xk_yn(k, n)
-            for cid in [c.id for c in d.crossings]:
-                d = resolve_crossing(d, cid, -1)
-            assert d == build_zkn(k, n)
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                d = build_xk_yn(k, n)
+                for cid in [c.id for c in d.crossings]:
+                    d = resolve_crossing(d, cid, -1)
+                z = build_zkn(k, n)
+                assert (z.loops, z.edges, z.slots) == (d.loops, d.edges, d.slots), (k, n)
+                assert z == d
+
+    def test_batch_equals_fold_for_mixed_signs(self):
+        rng = random.Random(7)
+        for d in [build_xk_yn(3, 4), build_theta_over_cores(5), build_kink(1)]:
+            for _ in range(5):
+                cids = [c.id for c in d.crossings]
+                picked = rng.sample(cids, rng.randint(1, len(cids)))
+                signs = {cid: rng.choice((1, -1)) for cid in picked}
+                folded = d
+                for cid in sorted(signs):
+                    folded = resolve_crossing(folded, cid, signs[cid])
+                assert resolve_crossings(d, signs) == folded
+                folded.validate()
+
+    @pytest.mark.parametrize("signs", [{"k0": 0}, {"k0": 1, "nope": 1}])
+    def test_batch_rejects_bad_sign_or_id(self, signs):
+        with pytest.raises(ValueError):
+            resolve_crossings(build_kink(1), signs)
 
 
 def expected_staircase_chords(k: int, n: int):
