@@ -121,12 +121,6 @@ class Diagram(Record):
     def crossing_count(self) -> int:
         return len(self.crossings)
 
-    def crossing(self, cid: str) -> Crossing:
-        for cr in self.crossings:
-            if cr.id == cid:
-                return cr
-        raise ValueError(f"unknown crossing id {cid!r}")
-
     def slot_count(self, point: str) -> int:
         for p, n in self.slots:
             if p == point:

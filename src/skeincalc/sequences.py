@@ -14,7 +14,8 @@ multiply.  Packing is injective only while every digit lies in
 (-2^(B-1), 2^(B-1)) and every exponent in the frame [lo, lo + W).  Sums
 and products size B and the frame from an a-priori bound; `to_basis` and
 `product_in_basis` cannot, so they check the bound as they divide and
-start over wider when it fails.  A polynomial keeps its packed forms.
+start over wider when it fails.  A polynomial keeps its packed forms
+at its own exponent width.
 """
 
 from __future__ import annotations
@@ -148,20 +149,22 @@ def _width(bound: int) -> int:
 
 
 def _pack(p: UniPoly, B: int, W: int) -> int:
-    """p as one int, kept on p: c * q^e t^i is the digit at
-    (i - i0) * W + e - lo, where i0 and lo are p's lowest degree and
-    exponent."""
-    K = p._packs.get((B, W))
-    if K is None:
-        nb, (i0, lo, *_) = B >> 3, _stats(p)
+    """p as one int: c * q^e t^i is the digit at (i - i0) * W + e - lo,
+    where i0 and lo are p's lowest degree and exponent.  p keeps it only
+    at its own width hi - lo + 1, one per B; as B doubles, what p keeps
+    stays under twice its dense layout at the widest B."""
+    i0, lo, hi, *_ = _stats(p)
+    kept = p._packs if W == hi - lo + 1 else {}
+    if B not in kept:
+        nb = B >> 3
         pos = bytearray((len(p._coeffs) - i0) * W * nb)
         neg = bytearray(len(pos))
         for i, c in enumerate(p._coeffs[i0:]):
             for e, v in c._terms.items():
                 k = (i * W + e - lo) * nb
                 (pos if v > 0 else neg)[k : k + nb] = abs(v).to_bytes(nb, "little")
-        K = p._packs[B, W] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-    return K
+        kept[B] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    return kept[B]
 
 
 def _unpack(K: int, B: int, W: int, lo: int, n: int) -> list[LaurentPoly]:

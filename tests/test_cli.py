@@ -14,6 +14,8 @@ import skeincalc
 from skeincalc import cli, positivity
 from skeincalc.cli import main
 
+SPAN = cli.MAX_SEQUENCE_SPAN
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -229,6 +231,39 @@ class TestReports:
         assert code == 2
         assert out == ""
         assert "not an integer" in err
+
+    def test_exponent_span_at_the_limit_runs(self, capsys, tmp_path):
+        # q^top in one entry and q^(top - SPAN) in another span exactly SPAN.
+        top = SPAN // 2
+        polys = {"1": [{str(top): 1}, 1], "2": [{str(top - SPAN): 1}, 0, 1]}
+        seq = tmp_path / "span.json"
+        seq.write_text(json.dumps({"base": "chebyshev", "polys": polys}))
+        for command, flag in (
+            ("audit", "--max-n"),
+            ("minimality", "--n"),
+            ("arc-constraints", "--n"),
+        ):
+            code, out, err = run_cli(capsys, command, "--seq", str(seq), flag, "3")
+            assert code in (0, 1) and out and err == ""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"base": "chebyshev", "polys": {"1": [{"1000000000": 1}, 1]}},
+            {"base": "power", "polys": {"2": [{"-1000000000": 1}, 0, 1]}},
+            [[1], [{str(SPAN + 1): 1}, 1]],
+            [[1], [{"1": 1}, 1], [{str(-SPAN): 1}, 0, 1]],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command, flag", [("audit", "--max-n"), ("minimality", "--n"), ("arc-constraints", "--n")]
+    )
+    def test_exponent_span_over_the_limit_is_two(self, capsys, tmp_path, data, command, flag):
+        seq = tmp_path / "wide.json"
+        seq.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, command, "--seq", str(seq), flag, "2")
+        assert (code, out) == (2, "")
+        assert f"at most {SPAN} apart" in err
 
     def test_bool_coefficient_is_rejected(self, capsys, tmp_path):
         seq = tmp_path / "b.json"

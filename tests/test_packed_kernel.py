@@ -178,6 +178,19 @@ def test_wide_digits_are_retried(monkeypatch):
     assert len(calls) == 2
 
 
+def test_packs_are_kept_at_own_width_only():
+    # p's own exponent width is 4 ([-1, 2]); every frame below is wider.
+    p = UniPoly([LaurentPoly({-1: 1, 2: 3}), 1])
+    for k in range(3, 40):
+        wide = UniPoly([LaurentPoly({0: 1, k: 1})])
+        assert p * wide == ref_mul(p, wide)
+        assert p + wide == ref_add(p, wide)
+    assert p._packs == {}
+    for scale in (2, 2**100):
+        assert p * scale == ref_linear(((LaurentPoly(scale), p.coeffs, 1),))
+    assert sorted(p._packs) == [8, 128]
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(a=unipolys, b=unipolys, c=laurents, seq=sequences_())
 def test_every_operation_matches_the_reference(a, b, c, seq):
