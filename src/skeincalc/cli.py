@@ -197,7 +197,7 @@ def emit_report(report, fmt: str, q1: bool = False) -> str:
             return "\n".join(rows) if rows else "0"
         return render_vector(report, q1)
     if isinstance(report, AuditReport):
-        return _emit_audit(report, fmt)
+        return _emit_audit(report, fmt, q1)
     raise TypeError(f"no renderer for {type(report).__name__}")
 
 
@@ -287,20 +287,20 @@ def _emit_constraints(report: ConstraintReport, fmt: str, q1: bool) -> str:
     return "\n".join(lines)
 
 
-def _emit_audit(report: AuditReport, fmt: str) -> str:
-    rows, ok = report.rows, report.ok()
+def _emit_audit(report: AuditReport, fmt: str, q1: bool) -> str:
+    rows, ok = report.rows, report.ok(q1)
     if fmt == "json":
         return json.dumps(
             {
                 "rows": [
-                    {"m": r.m, "n": r.n, "all_positive": r.all_positive} for r in rows
+                    {"m": r.m, "n": r.n, "all_positive": r.passes(q1)} for r in rows
                 ],
                 "ok": ok,
             },
             indent=2,
         )
     lines = [
-        f"{r.m}\t{r.n}\t{'PASS' if r.all_positive else 'FAIL'}" for r in rows
+        f"{r.m}\t{r.n}\t{'PASS' if r.passes(q1) else 'FAIL'}" for r in rows
     ]
     if fmt == "tsv":
         lines.append(f"RESULT\t{'PASS' if ok else 'FAIL'}")
@@ -362,7 +362,7 @@ def _cmd_verify_d1(args: argparse.Namespace) -> tuple[bool, str]:
 def _cmd_audit(args: argparse.Namespace) -> tuple[bool, str]:
     _check_size("audit", "--max-n", args.max_n, MAX_AUDIT_N)
     report = structure_constant_audit(load_sequence(args.seq), args.max_n)
-    return report.ok(), emit_report(report, args.fmt, args.q1)
+    return report.ok(args.q1), emit_report(report, args.fmt, args.q1)
 
 
 def _cmd_minimality(args: argparse.Namespace) -> tuple[bool, str]:
@@ -400,10 +400,10 @@ def _check_size(command: str, flag: str, value: int, limit: int) -> None:
 # (about 20 bytes each) before anything is printed.
 MAX_CORE_LOOPS = 100_000
 
-# Size limits of the report commands: at each, the worst built-in sequence
-# stays well within 4 s and 150 MiB (Python 3.11, 2-CPU host).  minimality
-# --n 1000 takes 1.5 s and 110 MiB, arc-constraints --seq chebyshev --n 1000
-# 1.7 s and 111 MiB, audit --max-n 100 1.0 s and 20 MiB.
+# Size limits of the report commands: at each, every built-in sequence stays
+# within 4 s and 150 MiB (Python 3.11, 2-CPU host).  minimality --n 1000 takes
+# 0.2 s and 17 MiB, arc-constraints --seq chebyshev --n 1000 0.5 s and 17 MiB,
+# audit --max-n 100 1.3 s and 20 MiB; minimality --seq power 2.4 s and 139 MiB.
 MAX_MINIMALITY_N = 1000
 MAX_ARC_N = 1000
 MAX_AUDIT_N = 100

@@ -88,6 +88,11 @@ def loop_product_expansion(
     return {sym: val for sym, val in [(UNIT, d), *terms] if not val.is_zero()}
 
 
+def in_cone(values: list[LaurentPoly], q1: bool = False) -> bool:
+    """Every value lies in R_+, or with q1 every value at q = 1 lies in Z_+."""
+    return all(v.eval_q1() >= 0 if q1 else v.is_positive() for v in values)
+
+
 class Constraint(Record):
     """One requirement: either a value that must lie in R_+, or an
     engine-checked identity (kind "identity", value unused)."""
@@ -99,7 +104,7 @@ class Constraint(Record):
         """An identity must hold; a value must lie in R_+, or at q = 1 in Z_+."""
         if self.kind == "identity" or not q1:
             return self.satisfied
-        return self.value.eval_q1() >= 0
+        return in_cone([self.value], q1)
 
 
 class ConstraintReport(Record):
@@ -214,9 +219,12 @@ def q_constraints(
 
 
 class AuditRow(Record):
-    """Whether every structure constant of seq[m] * seq[n] is positive."""
+    """Whether the structure constants of seq[m] * seq[n] lie in R_+, and at q = 1 in Z_+."""
 
-    __slots__ = ("m", "n", "all_positive")  # int, int, bool
+    __slots__ = ("m", "n", "all_positive", "all_positive_q1")  # int, int, bool, bool
+
+    def passes(self, q1: bool = False) -> bool:
+        return self.all_positive_q1 if q1 else self.all_positive
 
 
 class AuditReport(Record):
@@ -227,8 +235,8 @@ class AuditReport(Record):
 
     __slots__ = ("rows",)  # tuple[AuditRow, ...]
 
-    def ok(self) -> bool:
-        return all(r.all_positive for r in self.rows)
+    def ok(self, q1: bool = False) -> bool:
+        return all(r.passes(q1) for r in self.rows)
 
 
 def structure_constant_audit(seq: SequenceSpec, max_n: int) -> AuditReport:
@@ -240,5 +248,6 @@ def structure_constant_audit(seq: SequenceSpec, max_n: int) -> AuditReport:
     for m in range(0, max_n + 1):
         for n in range(m, max_n + 1):
             coeffs = product_in_basis(seq, m, n)
-            rows.append(AuditRow(m, n, all(x.is_positive() for x in coeffs)))
+            over_r = in_cone(coeffs)  # R_+ lies in Z_+ at q = 1
+            rows.append(AuditRow(m, n, over_r, over_r or in_cone(coeffs, q1=True)))
     return AuditReport(tuple(rows))

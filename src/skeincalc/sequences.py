@@ -20,6 +20,7 @@ at its own exponent width.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import index
 from typing import Iterable, Mapping, Sequence
 
@@ -215,39 +216,28 @@ def _combine(pairs: Pairs) -> UniPoly:
 
 
 _ONE, _MINUS_ONE = UniPoly([1]), UniPoly([-1])
-T_VAR = UniPoly([0, 1])
-
-_CHEBYSHEV = [UniPoly([1]), T_VAR, UniPoly([-2, 0, 1])]
 
 
 def chebyshev(n: int) -> UniPoly:
     """T_n with T_0 = 1, T_1 = t, T_2 = t^2 - 2, T_n = t*T_{n-1} - T_{n-2}.
 
-    Note the normalization T_0 = 1, so the recursion only holds from n = 3
-    onward and T_2 is pinned separately.  The table grows bottom-up, so
-    no call recurses.
+    The recursion holds from n = 3 on, as T_0 = 1; each T_n is built alone.
     """
-    global _CHEBYSHEV
     n = index(n)
     if n < 0:
         raise ValueError("chebyshev index must be nonnegative")
-    table = _CHEBYSHEV
-    if n >= len(table):
-        # Grow a copy and publish it whole: a concurrent caller sees the
-        # old table or the new one, never a half-built one.
-        table, B = list(table), 0
-        a, b = (_stats(p)[3] for p in table[-2:])
-        while len(table) <= n:
-            # Packed at width B, t * T_(k-1) - T_(k-2) is a shift and a
-            # subtraction; a + b bounds every coefficient of T_k.
-            a, b = b, a + b
-            if _width(b) != B:
-                B = _width(b)
-                K0, K1 = (_sum(((_ONE, p),), B, 1, 0) for p in table[-2:])
-            K0, K1 = K1, (K1 << B) - K0
-            table.append(UniPoly(_unpack(K1, B, 1, 0, len(table) + 1)))
-        _CHEBYSHEV = table
-    return table[n]
+    return _chebyshev(n)
+
+
+@lru_cache(maxsize=None)
+def _chebyshev(n: int) -> UniPoly:
+    """T_n from its closed form: for n >= 1, t^(n-2k) has coefficient c_k =
+    (-1)^k n/(n-k) C(n-k, k), reached from c_0 = 1 by exact integer steps."""
+    coeffs, c = [ZERO] * n + [ONE], 1
+    for k in range(1, n // 2 + 1):
+        c = -c * (n - 2 * k + 2) * (n - 2 * k + 1) // (k * (n - k))
+        coeffs[n - 2 * k] = LaurentPoly(c)
+    return UniPoly(coeffs)
 
 
 def power(n: int) -> UniPoly:

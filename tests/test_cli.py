@@ -112,6 +112,20 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, *argv, str(limit))
         assert (code, calls) == (0, [limit])
 
+    @pytest.mark.parametrize(
+        "command, limit, code, conclusion",
+        [
+            ("minimality", "MAX_MINIMALITY_N", 0, "consistent"),
+            ("arc-constraints", "MAX_ARC_N", 1, "contradiction"),
+        ],
+        ids=["minimality", "arc-constraints"],
+    )
+    def test_sequence_size_limits_run_in_full(self, capsys, command, limit, code, conclusion):
+        n = str(getattr(cli, limit))
+        got, out, err = run_cli(capsys, command, "--seq", "chebyshev", "--n", n)
+        assert (got, err) == (code, "")
+        assert out.endswith(f"conclusion: {conclusion}\n")
+
     def test_argparse_usage_error_is_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify-theta"])  # missing --n
@@ -216,6 +230,25 @@ class TestReports:
         )
         assert code == 0
         assert out.startswith("0\t0\tPASS")
+
+    @pytest.mark.parametrize(
+        "q1, code, verdict", [([], 1, "FAIL"), (["--q1"], 0, "PASS")], ids=["R_+", "q1"]
+    )
+    def test_audit_honours_q1(self, capsys, tmp_path, q1, code, verdict):
+        # T_1 * T_1 = t^2 = P_2 + (q^-1 - q) P_1 + 2: the constant q^-1 - q
+        # is outside R_+ but is 0 at q = 1.
+        seq = tmp_path / "seq.json"
+        polys = {"2": [-2, {"1": 1, "-1": -1}, 1]}
+        seq.write_text(json.dumps({"base": "chebyshev", "polys": polys}))
+        argv = ["audit", "--seq", str(seq), "--max-n", "1", *q1]
+        got, out, _ = run_cli(capsys, *argv)
+        assert got == code
+        assert out.endswith(f"1\t1\t{verdict}\nRESULT: {verdict}\n")
+        got, out, _ = run_cli(capsys, *argv, "--format", "json")
+        report = json.loads(out)
+        assert got == code
+        assert [r["all_positive"] for r in report["rows"]] == [True, True, code == 0]
+        assert report["ok"] is (code == 0)
 
     def test_bad_sequence_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
