@@ -8,6 +8,10 @@ constraint failed, 2 usage error (bad bounds, a size over its limit, bad
 sequence file, crossing cap exceeded), raised before any work.  Output is
 deterministic: basis elements in canonical order, exponents ascending,
 byte-identical across runs and for every --jobs value.
+
+Only the commands that resolve a diagram (verify-*, resolve, and
+arc-constraints --diagram-check) load diagram.py and skein.py, so
+--help, audit, minimality and arc-constraints start without them.
 """
 
 from __future__ import annotations
@@ -16,18 +20,10 @@ import argparse
 import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
+from ._cap import DEFAULT_CROSSING_CAP, CrossingCapExceeded, refuse_over_cap
 from ._record import Record
-from .diagram import (
-    Diagram,
-    Disk,
-    build_core_stack,
-    build_d1_xy,
-    build_kink,
-    build_theta_over_cores,
-    build_xk_yn,
-    build_zkn,
-)
 from .laurent import LaurentPoly
 from .positivity import (
     CONSISTENT,
@@ -47,18 +43,10 @@ from .sequences import (
     UniPoly,
     chebyshev,
 )
-from .skein import (
-    CrossingCapExceeded,
-    DEFAULT_CROSSING_CAP,
-    SkeinVector,
-    full_boundary_ideal,
-    grid_ideal,
-    refuse_over_cap,
-    resolve_all,
-    resolve_all_mod,
-    theta_bullet,
-    theta_transport_target,
-)
+
+if TYPE_CHECKING:
+    from .diagram import Diagram
+    from .skein import SkeinVector
 
 
 _INDEX = re.compile(r"0|[1-9][0-9]*")
@@ -189,16 +177,18 @@ def emit_report(report, fmt: str, q1: bool = False) -> str:
         return _emit_identity(report, fmt, q1)
     if isinstance(report, ConstraintReport):
         return _emit_constraints(report, fmt, q1)
-    if isinstance(report, SkeinVector):
-        if fmt == "json":
-            return json.dumps(vector_json(report, q1), indent=2)
-        if fmt == "tsv":
-            rows = [f"{b.label()}\t{_coeff_text(c, q1)}" for b, c in report.items()]
-            return "\n".join(rows) if rows else "0"
-        return render_vector(report, q1)
     if isinstance(report, AuditReport):
         return _emit_audit(report, fmt, q1)
-    raise TypeError(f"no renderer for {type(report).__name__}")
+    from .skein import SkeinVector  # a vector report has loaded it already
+
+    if not isinstance(report, SkeinVector):
+        raise TypeError(f"no renderer for {type(report).__name__}")
+    if fmt == "json":
+        return json.dumps(vector_json(report, q1), indent=2)
+    if fmt == "tsv":
+        rows = [f"{b.label()}\t{_coeff_text(c, q1)}" for b, c in report.items()]
+        return "\n".join(rows) if rows else "0"
+    return render_vector(report, q1)
 
 
 def _emit_identity(report: IdentityReport, fmt: str, q1: bool) -> str:
@@ -316,6 +306,8 @@ def _cmd_verify_theta(args: argparse.Namespace) -> tuple[bool, str]:
     if args.n < 1:
         raise UsageError("verify-theta needs --n >= 1")
     refuse_over_cap(f"theta:{args.n}", args.n, args.cap)
+    from .skein import theta_bullet, theta_transport_target
+
     cases = [
         CaseResult(f"n={j}", theta_bullet(chebyshev(j), cap=args.cap), theta_transport_target(j))
         for j in range(1, args.n + 1)
@@ -349,6 +341,9 @@ def _cmd_verify_zkn(args: argparse.Namespace) -> tuple[bool, str]:
 
 
 def _cmd_verify_d1(args: argparse.Namespace) -> tuple[bool, str]:
+    from .diagram import build_d1_xy
+    from .skein import SkeinVector, full_boundary_ideal, resolve_all_mod
+
     d = build_d1_xy()
     lhs = resolve_all_mod(d, full_boundary_ideal(d.surface), cap=args.cap)
     report = IdentityReport(
@@ -419,29 +414,32 @@ def _parse_diagram(spec: str, cap: int) -> Diagram:
     crossings exceed the cap: theta:K has K, and xkyn:K,N and zkn:K,N
     have K*N (zkn resolves them while it is built).  core:K is refused
     above MAX_CORE_LOOPS."""
+    from . import diagram
+
     name, _, args = spec.partition(":")
     try:
         if name == "core":
             k = int(args)
             if k > MAX_CORE_LOOPS:
                 raise UsageError(f"core:K takes K <= {MAX_CORE_LOOPS}, got {k}")
-            return build_core_stack(k)
+            return diagram.build_core_stack(k)
         if name == "theta":
             k = int(args)
             refuse_over_cap(spec, k, cap)
-            return build_theta_over_cores(k)
+            return diagram.build_theta_over_cores(k)
         if name in ("xkyn", "zkn"):
             k_s, _, n_s = args.partition(",")
             k, n = int(k_s), int(n_s)
             if k > 0 and n > 0:
                 refuse_over_cap(spec, k * n, cap)
-            return build_xk_yn(k, n) if name == "xkyn" else build_zkn(k, n)
+            build = diagram.build_xk_yn if name == "xkyn" else diagram.build_zkn
+            return build(k, n)
         if name == "d1":
-            return build_d1_xy()
+            return diagram.build_d1_xy()
         if name == "kink":
             if args not in ("+", "-"):
                 raise UsageError("kink takes + or -")
-            return build_kink(1 if args == "+" else -1)
+            return diagram.build_kink(1 if args == "+" else -1)
     except CrossingCapExceeded:
         raise
     except (ValueError, TypeError) as exc:
@@ -455,6 +453,9 @@ def _cmd_resolve(args: argparse.Namespace) -> tuple[bool, str]:
     if not args.diagram:
         raise UsageError("resolve needs a diagram spec")
     d = _parse_diagram(args.diagram, args.cap)
+    from .diagram import Disk
+    from .skein import full_boundary_ideal, grid_ideal, resolve_all, resolve_all_mod
+
     if args.ideal == "none":
         vec = resolve_all(d, cap=args.cap)
     else:

@@ -186,24 +186,6 @@ class Diagram(Record):
                     partner[4 * ci + i], partner[4 * ci + j] = 4 * ci + j, 4 * ci + i
         return to, w, pos, neg, slots
 
-    def to_json_dict(self) -> dict:
-        if isinstance(self.surface, Disk):
-            surf = {"kind": "disk", "points": list(self.surface.points)}
-        elif isinstance(self.surface, Annulus):
-            surf = {"kind": "annulus"}
-        else:
-            surf = {"kind": "marked_annulus"}
-        return {
-            "surface": surf,
-            "crossings": [{"id": c.id, "over": list(c.over)} for c in self.crossings],
-            "edges": [
-                {"a": list(e.a), "b": list(e.b), "seam": e.seam}
-                for e in sorted(self.edges, key=lambda e: (e.a, e.b))
-            ],
-            "loops": list(self.loops),
-            "endpoints": {p: n for p, n in self.slots},
-        }
-
 
 def _diagram(surface, crossings, edges, loops=(), slots=()) -> Diagram:
     return Diagram(
@@ -231,11 +213,14 @@ def build_theta_over_cores(k: int) -> Diagram:
     The arc is the over-strand everywhere.  Crossing i sits where the arc
     meets loop i (loops ordered inner to outer); ports 0 = toward p1,
     2 = toward p2, 1/3 = the loop, with the loop edge oriented so its
-    seam count is +1 from port 1 to port 3.
+    seam count is +1 from port 1 to port 3.  Crossing i is c followed by
+    i zero-padded to one width, c01 while k <= 99; a width fixed per
+    diagram keeps the ids sorted in arc order.
     """
     if k < 0:
         raise ValueError("loop count must be nonnegative")
-    cids = [f"c{i:02d}" for i in range(1, k + 1)]
+    width = max(2, len(str(k)))
+    cids = [f"c{i:0{width}d}" for i in range(1, k + 1)]
     crossings = [Crossing(cid, (0, 2)) for cid in cids]
     edges = []
     prev: Attachment = ("B", "p1", 0)
@@ -324,11 +309,6 @@ def build_kink(sign: int) -> Diagram:
 
 
 # -- crossing resolution -----------------------------------------------------
-
-
-def resolve_crossing(d: Diagram, cid: str, sign: int) -> Diagram:
-    """Remove one crossing; see resolve_crossings."""
-    return resolve_crossings(d, {cid: sign})
 
 
 def resolve_crossings(d: Diagram, signs: dict[str, int]) -> Diagram:

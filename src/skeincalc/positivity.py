@@ -30,17 +30,15 @@ renders every output format.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from ._cap import DEFAULT_CROSSING_CAP
 from ._record import Record
-from .diagram import build_xk_yn, build_zkn
 from .laurent import LaurentPoly, ONE, ZERO, q_power
 from .sequences import CHEBYSHEV, POWER, SequenceSpec, product_in_basis, to_basis
-from .skein import (
-    DEFAULT_CROSSING_CAP,
-    SkeinVector,
-    grid_ideal,
-    normal_form,
-    resolve_all_mod,
-)
+
+if TYPE_CHECKING:
+    from .skein import SkeinVector
 
 CONSISTENT = "consistent"
 CONTRADICTION = "contradiction"
@@ -89,8 +87,11 @@ def loop_product_expansion(
 
 
 def in_cone(values: list[LaurentPoly], q1: bool = False) -> bool:
-    """Every value lies in R_+, or with q1 every value at q = 1 lies in Z_+."""
-    return all(v.eval_q1() >= 0 if q1 else v.is_positive() for v in values)
+    """Every value lies in R_+, or with q1 every value at q = 1 lies in Z_+.
+
+    0 lies in both cones, so zero values are skipped unread: most basis
+    coefficients of a Chebyshev product are 0."""
+    return all(v.eval_q1() >= 0 if q1 else v.is_positive() for v in values if v._terms)
 
 
 class Constraint(Record):
@@ -165,7 +166,11 @@ def minimality_constraints(seq: SequenceSpec, n: int) -> ConstraintReport:
 
 def grid_identity(k: int, n: int, cap: int) -> tuple[SkeinVector, SkeinVector]:
     """Both sides of x^k y_n = q^(-kn) z_(k,n) modulo the grid ideal: the
-    quotient of the k-by-n grid, and the weighted all-negative state."""
+    quotient of the k-by-n grid, and the weighted all-negative state.
+    The resolver loads here, so the reports that never call this skip it."""
+    from .diagram import build_xk_yn, build_zkn
+    from .skein import grid_ideal, normal_form, resolve_all_mod
+
     lhs = resolve_all_mod(build_xk_yn(k, n), grid_ideal(n), cap=cap)
     rhs = normal_form(build_zkn(k, n)).scaled(q_power(-k * n))
     return lhs, rhs

@@ -36,6 +36,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
+from ._cap import (  # CrossingCapExceeded is re-exported
+    DEFAULT_CROSSING_CAP,
+    CrossingCapExceeded,
+    refuse_over_cap,
+)
 from ._record import Record
 from .diagram import (
     Annulus,
@@ -52,15 +57,9 @@ from .sequences import UniPoly
 # Scalar of a nullisotopic loop.
 LOOP_VALUE = LaurentPoly({2: -1, -2: -1})
 
-DEFAULT_CROSSING_CAP = 24
-
 
 class StructureError(Exception):
     """A diagram reached a state no embedded diagram can produce."""
-
-
-class CrossingCapExceeded(ValueError):
-    """The diagram has more crossings than the configured expansion cap."""
 
 
 # -- basis elements -----------------------------------------------------------
@@ -437,13 +436,6 @@ def _frontier_resolve(
         elem = _reduce_state(d.surface, points, order, arcs, essential)
         _accumulate(acc.setdefault(elem, {}), weight, 0, 0)
     return acc
-
-
-def refuse_over_cap(what: str, crossings: int, cap: int) -> None:
-    """Raise CrossingCapExceeded when crossings exceed the expansion cap;
-    the one rule the library and the command line both apply."""
-    if crossings > cap:
-        raise CrossingCapExceeded(f"{what} has {crossings} crossings; the expansion cap is {cap}")
 
 
 def _resolve(

@@ -1,6 +1,7 @@
 """Shared test helpers: the brute-force oracles the frontier resolver is
 checked against (a 2^c state scan, a single-crossing fold, closed braids
-with known Jones polynomials), the dict-buffer reference for the packed
+with known Jones polynomials), single-crossing resolution and a JSON
+description of diagrams, the dict-buffer reference for the packed
 sequence kernel, and random Laurent polynomial generation."""
 
 from __future__ import annotations
@@ -20,12 +21,37 @@ from skeincalc import (
     LOOP_VALUE,
     SkeinVector,
     StructureError,
-    resolve_crossing,
 )
-from skeincalc.diagram import make_edge, surface_points
+from skeincalc.diagram import make_edge, resolve_crossings, surface_points
 from skeincalc.laurent import ZERO, q_power
 from skeincalc.sequences import UniPoly
 from skeincalc.skein import DiskMatching, _reduce_state
+
+
+def resolve_crossing(d: Diagram, cid: str, sign: int) -> Diagram:
+    """Remove one crossing; see diagram.resolve_crossings."""
+    return resolve_crossings(d, {cid: sign})
+
+
+def diagram_json(d: Diagram) -> dict:
+    """A full JSON description of d: crossings, edges with seam counts,
+    loops and endpoint orders, for debugging."""
+    if isinstance(d.surface, Disk):
+        surf = {"kind": "disk", "points": list(d.surface.points)}
+    elif isinstance(d.surface, Annulus):
+        surf = {"kind": "annulus"}
+    else:
+        surf = {"kind": "marked_annulus"}
+    return {
+        "surface": surf,
+        "crossings": [{"id": c.id, "over": list(c.over)} for c in d.crossings],
+        "edges": [
+            {"a": list(e.a), "b": list(e.b), "seam": e.seam}
+            for e in sorted(d.edges, key=lambda e: (e.a, e.b))
+        ],
+        "loops": list(d.loops),
+        "endpoints": {p: n for p, n in d.slots},
+    }
 
 
 def scan_components(ports, mask: int):

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import ast
 import concurrent.futures
 import json
 import multiprocessing.process
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import skeincalc
-from skeincalc import cli, positivity
+from skeincalc import cli, diagram
 from skeincalc.cli import main
 
 SPAN = cli.MAX_SEQUENCE_SPAN
@@ -68,7 +69,7 @@ class TestExitCodes:
             raise AssertionError("a diagram over the cap was built")
 
         for name in ("build_theta_over_cores", "build_xk_yn", "build_zkn"):
-            monkeypatch.setattr(cli, name, refuse)
+            monkeypatch.setattr(diagram, name, refuse)
         code, _, err = run_cli(capsys, "resolve", spec)
         assert code == 2
         assert "refusing to expand" in err
@@ -77,7 +78,7 @@ class TestExitCodes:
         def refuse(*args):
             raise AssertionError("a core stack over the limit was built")
 
-        monkeypatch.setattr(cli, "build_core_stack", refuse)
+        monkeypatch.setattr(diagram, "build_core_stack", refuse)
         code, _, err = run_cli(capsys, "resolve", f"core:{cli.MAX_CORE_LOOPS + 1}")
         assert code == 2
         assert f"K <= {cli.MAX_CORE_LOOPS}" in err
@@ -214,7 +215,7 @@ class TestReports:
             raise AssertionError("a grid over the cap was built")
 
         for name in ("build_xk_yn", "build_zkn"):
-            monkeypatch.setattr(positivity, name, refuse)
+            monkeypatch.setattr(diagram, name, refuse)
         code, out, err = run_cli(capsys, "arc-constraints", "--n", "5", "--diagram-check")
         assert (code, out) == (2, "")
         assert "refusing to expand: xkyn:5,5 has 25 crossings" in err
@@ -364,6 +365,10 @@ class TestResolve:
         assert code == 0
         assert out.strip() == "0"
 
+    def test_unknown_report_type_raises(self):
+        with pytest.raises(TypeError, match="no renderer for dict"):
+            cli.emit_report({}, "json")
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "resolve", "theta:1", "--format", "json")
         assert code == 0
@@ -413,26 +418,99 @@ class TestDeterminism:
         assert a == b
 
 
+def run_python(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports this skeincalc."""
+    src = str(Path(skeincalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+
+
+def loaded_after(code: str) -> list[str]:
+    """The skeincalc submodules a fresh interpreter holds once code has run."""
+    probe = "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('skeincalc.')))"
+    return ast.literal_eval(run_python(code + probe).splitlines()[-1])
+
+
+def loaded_by_command(*argv: str) -> list[str]:
+    return loaded_after(
+        "import contextlib, io, skeincalc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        f"    skeincalc.cli.main({list(argv)!r})"
+    )
+
+
+RESOLVER = {"skeincalc.diagram", "skeincalc.skein"}
+
+
 class TestStartup:
     def test_import_loads_no_dataclasses(self):
         # dataclasses pulls in inspect and ast: tens of milliseconds on every
         # command, measured with python -X importtime.  Every source line is
         # compiled on every command too, so the test-only oracles stay out.
-        src = str(Path(skeincalc.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
-            "import skeincalc.cli, sys; "
+            "import skeincalc.cli, skeincalc.skein, sys; "
             "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)), "
             "sorted({'_scan_range', '_Scanner', 'classify_components', 'check_jobs'} "
             "& set(vars(sys.modules['skeincalc.skein']))), "
             "sorted({'RunConfig', 'config_from_args'} & set(vars(sys.modules['skeincalc.cli']))"
             " | {'CurveSymbol'} & set(vars(sys.modules['skeincalc.positivity']))))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        assert out.strip() == "[] [] []"
+        assert run_python(code).strip() == "[] [] []"
+
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_after("import skeincalc") == []
+        # A public name loads its own module: the cap rule, not the resolver.
+        assert loaded_after("import skeincalc; skeincalc.CrossingCapExceeded") == [
+            "skeincalc._cap"
+        ]
+        assert not RESOLVER & set(loaded_after("import skeincalc.cli"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["audit", "--max-n", "3"],
+            ["minimality", "--n", "3"],
+            ["arc-constraints", "--n", "3"],
+        ],
+        ids=["help", "audit", "minimality", "arc-constraints"],
+    )
+    def test_report_commands_skip_the_resolver(self, argv):
+        loaded = set(loaded_by_command(*argv))
+        assert "skeincalc.positivity" in loaded
+        assert not RESOLVER & loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-d1"], ["resolve", "kink:+"], ["arc-constraints", "--n", "2", "--diagram-check"]],
+        ids=["verify-d1", "resolve", "diagram-check"],
+    )
+    def test_resolving_commands_load_the_resolver(self, argv):
+        assert RESOLVER <= set(loaded_by_command(*argv))
+
+    def test_traced_spans_find_their_modules(self):
+        # bench/trace_cmd.py looks each span's module up in sys.modules after
+        # its own imports, before the command runs; a module loaded only by
+        # the command would fail every traced run.
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        tree = ast.parse((bench / "trace_cmd.py").read_text())
+        imports = [
+            ast.unparse(node)
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "skeincalc" in ast.unparse(node)
+        ]
+        probe = "\n".join(imports) + (
+            "\nimport sys\nloaded = {m.removeprefix('skeincalc.') for m in sys.modules}\n"
+            f"sys.path.insert(0, {str(bench)!r})\nimport benchlib\n"
+            "spans = {t.split('.')[0] for ts in benchlib.SPAN_METRICS.values() for t in ts}\n"
+            "print((sorted(spans), sorted(spans - loaded)))"
+        )
+        spans, missing = ast.literal_eval(run_python(probe).strip())
+        assert imports and spans
+        assert missing == []

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import diagram_json, resolve_crossing
 from skeincalc.diagram import (
     Annulus,
     Crossing,
@@ -17,7 +18,6 @@ from skeincalc.diagram import (
     build_zkn,
     disk_surface,
     make_edge,
-    resolve_crossing,
     resolve_crossings,
     smoothing_pairs,
 )
@@ -72,6 +72,21 @@ class TestBuilders:
         d.validate()
         ids = [c.id for c in build_xk_yn(2, 3).crossings]
         assert ids == ["E0101", "E0102", "E0103", "E0201", "E0202", "E0203"]
+
+    def test_theta_ids_follow_arc_order_past_99_loops(self):
+        # With two digits, c100 sorted between c10 and c11, so the resolver
+        # stopped walking the arc in order and theta:150 took seconds.
+        d = build_theta_over_cores(150)
+        other = {}
+        for e in d.edges:
+            other[e.a], other[e.b] = e.b, e.a
+        walk, end = [], other["B", "p1", 0]
+        while end[0] == "X":
+            walk.append(end[1])
+            end = other["X", end[1], 2]
+        assert walk == [c.id for c in d.crossings] and len(walk) == 150
+        d.validate()
+        assert [c.id for c in build_theta_over_cores(3).crossings] == ["c01", "c02", "c03"]
 
     def test_xk_yn_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -227,7 +242,7 @@ class TestPrimitives:
 class TestSerialization:
     def test_json_shape(self):
         d = build_theta_over_cores(1)
-        data = d.to_json_dict()
+        data = diagram_json(d)
         assert data["surface"] == {"kind": "marked_annulus"}
         assert data["crossings"] == [{"id": "c01", "over": [0, 2]}]
         assert data["endpoints"] == {"p1": 1, "p2": 1}
@@ -237,4 +252,4 @@ class TestSerialization:
         import json
 
         d = build_xk_yn(2, 2)
-        assert json.dumps(d.to_json_dict()) == json.dumps(d.to_json_dict())
+        assert json.dumps(diagram_json(d)) == json.dumps(diagram_json(d))

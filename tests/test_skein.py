@@ -9,6 +9,7 @@ from conftest import (
     collect_loop_windings,
     enumerate_states,
     fold_resolve,
+    resolve_crossing,
     scan_resolve,
 )
 from skeincalc.diagram import (
@@ -22,7 +23,6 @@ from skeincalc.diagram import (
     build_xk_yn,
     build_zkn,
     make_edge,
-    resolve_crossing,
 )
 from skeincalc import skein
 from skeincalc.cli import vector_json
@@ -84,8 +84,6 @@ class TestNormalForm:
         # Negative at the first column, positive where the second vertical
         # meets the first row: the second vertical start is routed west and
         # back down to p0, a same-endpoint arc, which kills the state.
-        from skeincalc.diagram import resolve_crossing
-
         d = build_xk_yn(2, 2)
         for cid, sign in [("E0101", -1), ("E0201", +1), ("E0102", -1), ("E0202", -1)]:
             d = resolve_crossing(d, cid, sign)
