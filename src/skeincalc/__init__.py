@@ -10,10 +10,7 @@ _EXPORTS = {
     "sequences": (
         "CHEBYSHEV",
         "POWER",
-        "ChebyshevSequence",
-        "CustomSequence",
-        "PowerSequence",
-        "SequenceSpec",
+        "Sequence",
         "UniPoly",
         "chebyshev",
         "from_basis",

@@ -37,9 +37,8 @@ from .positivity import (
 from .sequences import (
     CHEBYSHEV,
     POWER,
-    CustomSequence,
     MissingEntry,
-    SequenceSpec,
+    Sequence,
     UniPoly,
     chebyshev,
 )
@@ -56,23 +55,34 @@ class UsageError(Exception):
     """Bad bounds or configuration; maps to exit code 2."""
 
 
-def load_sequence(spec: str) -> SequenceSpec:
+_BUILT_IN = {s.name: s for s in (CHEBYSHEV, POWER)}
+
+
+def load_sequence(spec: str) -> Sequence:
     """Resolve "chebyshev", "power", or a JSON file of coefficient arrays.
 
     The file holds either a list of coefficient arrays indexed by degree,
     or {"base": "chebyshev"|"power", "polys": {"n": [coeffs...]}} to
     override single entries, where "n" is a canonical decimal index (no
-    sign, space or leading zero).  A coefficient is an int or an
+    sign, space or leading zero).  An object with any other key, or with
+    a key repeated, is refused.  A coefficient is an int or an
     {exponent: int} object; all exponents, 0 included, lie at most
     MAX_SEQUENCE_SPAN apart.
     """
-    if spec == "chebyshev":
-        return CHEBYSHEV
-    if spec == "power":
-        return POWER
+    if spec in _BUILT_IN:
+        return _BUILT_IN[spec]
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise UsageError(f"sequence file {spec!r} repeats the key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(spec) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise UsageError(f"cannot read sequence file {spec!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -102,14 +112,15 @@ def load_sequence(spec: str) -> SequenceSpec:
 
     try:
         if isinstance(data, list):
-            return CustomSequence({i: poly(p) for i, p in enumerate(data)})
+            return Sequence.custom({i: poly(p) for i, p in enumerate(data)})
         if isinstance(data, dict):
-            base_name = data.get("base")
-            base = None
-            if base_name is not None:
-                if base_name not in ("chebyshev", "power"):
-                    raise UsageError(f"unknown base sequence {base_name!r}")
-                base = CHEBYSHEV if base_name == "chebyshev" else POWER
+            if unknown := data.keys() - {"base", "polys"}:
+                raise UsageError(f"unknown key {min(unknown)!r} in sequence file {spec!r}")
+            base = data.get("base")
+            if base is not None:
+                if not isinstance(base, str) or base not in _BUILT_IN:
+                    raise UsageError(f"unknown base sequence {base!r}")
+                base = _BUILT_IN[base]
             polys = data.get("polys", {})
             if not isinstance(polys, dict):
                 raise UsageError(f'"polys" in {spec!r} must be an object')
@@ -119,7 +130,7 @@ def load_sequence(spec: str) -> SequenceSpec:
                         f"polys key {key!r} in {spec!r} is not a canonical "
                         "nonnegative decimal index"
                     )
-            return CustomSequence({int(k): poly(p) for k, p in polys.items()}, base=base)
+            return Sequence.custom({int(k): poly(p) for k, p in polys.items()}, base=base)
     except ValueError as exc:
         raise UsageError(f"invalid sequence in {spec!r}: {exc}") from exc
     raise UsageError(f"sequence file {spec!r} must hold a list or an object")

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from ._cap import DEFAULT_CROSSING_CAP
 from ._record import Record
 from .laurent import LaurentPoly, ONE, ZERO, q_power
-from .sequences import CHEBYSHEV, POWER, SequenceSpec, product_in_basis, to_basis
+from .sequences import CHEBYSHEV, POWER, Sequence, product_in_basis, to_basis
 
 if TYPE_CHECKING:
     from .skein import SkeinVector
@@ -140,7 +140,7 @@ class ConstraintReport(Record):
         return CONSISTENT
 
 
-def minimality_constraints(seq: SequenceSpec, n: int) -> ConstraintReport:
+def minimality_constraints(seq: Sequence, n: int) -> ConstraintReport:
     """The full set of positivity requirements the loop expansion imposes
     on seq at level n, plus the derived -d requirement."""
     if n < 1:
@@ -177,7 +177,7 @@ def grid_identity(k: int, n: int, cap: int) -> tuple[SkeinVector, SkeinVector]:
 
 
 def q_constraints(
-    seq: SequenceSpec,
+    seq: Sequence,
     n: int,
     k_max: int | None = None,
     *,
@@ -244,7 +244,7 @@ class AuditReport(Record):
         return all(r.passes(q1) for r in self.rows)
 
 
-def structure_constant_audit(seq: SequenceSpec, max_n: int) -> AuditReport:
+def structure_constant_audit(seq: Sequence, max_n: int) -> AuditReport:
     """Positivity of every structure constant of seq on the loop algebra
     of the annulus, for all products up to max_n."""
     if max_n < 1:

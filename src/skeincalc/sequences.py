@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import index
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping
 
 from .laurent import LaurentPoly, ONE, ZERO
 
@@ -183,7 +183,7 @@ def _unpack(K: int, B: int, W: int, lo: int, n: int) -> list[LaurentPoly]:
     return out
 
 
-Pairs = Sequence[tuple[UniPoly, UniPoly]]
+Pairs = Collection[tuple[UniPoly, UniPoly]]
 
 
 def _frame(pairs: Pairs) -> tuple[int, int, int, int]:
@@ -223,10 +223,7 @@ def chebyshev(n: int) -> UniPoly:
 
     The recursion holds from n = 3 on, as T_0 = 1; each T_n is built alone.
     """
-    n = index(n)
-    if n < 0:
-        raise ValueError("chebyshev index must be nonnegative")
-    return _chebyshev(n)
+    return CHEBYSHEV[n]
 
 
 @lru_cache(maxsize=None)
@@ -242,55 +239,45 @@ def _chebyshev(n: int) -> UniPoly:
 
 def power(n: int) -> UniPoly:
     """The monomial t^n."""
-    n = index(n)
-    if n < 0:
-        raise ValueError("power index must be nonnegative")
-    return UniPoly([ZERO] * n + [ONE])
-
-
-class SequenceSpec:
-    """A normalized sequence: seq[n] is monic of degree n and seq[0] = 1."""
-
-    name = "abstract"
-
-    def poly(self, n: int) -> UniPoly:
-        raise NotImplementedError
-
-    def __getitem__(self, n: int) -> UniPoly:
-        return self.poly(n)
-
-
-class ChebyshevSequence(SequenceSpec):
-    name = "chebyshev"
-
-    def poly(self, n: int) -> UniPoly:
-        return chebyshev(n)
-
-
-class PowerSequence(SequenceSpec):
-    name = "power"
-
-    def poly(self, n: int) -> UniPoly:
-        return power(n)
+    return POWER[n]
 
 
 class MissingEntry(ValueError):
     """A custom sequence was asked for an index it does not define."""
 
 
-class CustomSequence(SequenceSpec):
-    """A table of polynomials, optionally falling back to a base sequence.
+class Sequence:
+    """A normalized sequence: seq[n] is monic of degree n and seq[0] = 1.
 
-    Validation is eager: every table entry must be monic of its index's
-    degree, and an entry at 0 must be the constant 1.
+    seq[n] is the one place an index is checked; entry(n) then sees only
+    ints n >= 0.
     """
 
-    def __init__(
-        self,
+    __slots__ = ("name", "_entry")
+
+    def __init__(self, name: str, entry: Callable[[int], UniPoly]):
+        self.name = name
+        self._entry = entry
+
+    def __getitem__(self, n: int) -> UniPoly:
+        n = index(n)
+        if n < 0:
+            raise ValueError(f"{self.name} index must be nonnegative")
+        return self._entry(n)
+
+    @classmethod
+    def custom(
+        cls,
         polys: Mapping[int, UniPoly],
-        base: SequenceSpec | None = None,
+        base: Sequence | None = None,
         name: str = "custom",
-    ):
+    ) -> Sequence:
+        """A table of polynomials, falling back to base where it has no entry.
+
+        Validation is eager: every table entry must be monic of its index's
+        degree, and an entry at 0 must be the constant 1.  An index that
+        neither the table nor base defines raises MissingEntry.
+        """
         table = {}
         for n, p in polys.items():
             n = index(n)
@@ -299,28 +286,24 @@ class CustomSequence(SequenceSpec):
             if p.degree != n or not p.is_monic():
                 raise ValueError(f"entry {n} must be monic of degree {n}, got {p}")
             table[n] = p
-        if 0 in table and table[0] != UniPoly([1]):
+        if table.setdefault(0, _ONE) != _ONE:
             raise ValueError("entry 0 of a normalized sequence must be 1")
-        self._table = table
-        self._base = base
-        self.name = name
 
-    def poly(self, n: int) -> UniPoly:
-        n = index(n)
-        if n in self._table:
-            return self._table[n]
-        if self._base is not None:
-            return self._base.poly(n)
-        if n == 0:
-            return UniPoly([1])
-        raise MissingEntry(f"custom sequence has no entry for index {n}")
+        def entry(n: int) -> UniPoly:
+            if n in table:
+                return table[n]
+            if base is None:
+                raise MissingEntry(f"custom sequence has no entry for index {n}")
+            return base._entry(n)
+
+        return cls(name, entry)
 
 
-CHEBYSHEV = ChebyshevSequence()
-POWER = PowerSequence()
+CHEBYSHEV = Sequence("chebyshev", _chebyshev)
+POWER = Sequence("power", lambda n: UniPoly([ZERO] * n + [ONE]))
 
 
-def _reduce(pairs: Pairs, seq: SequenceSpec) -> list[LaurentPoly]:
+def _reduce(pairs: Pairs, seq: Sequence) -> list[LaurentPoly]:
     """Basis coefficients of P = sum a * p over pairs, by division with
     remainder from the top degree down: where slot j of the packed K is
     nonzero it is c_j, and c_j * seq[j] is subtracted whole, so K ends as
@@ -339,13 +322,14 @@ def _reduce(pairs: Pairs, seq: SequenceSpec) -> list[LaurentPoly]:
             S = (low + (1 << BW * j >> 1)) >> BW * j
             out[j] = _unpack(S, B, W, lo, 1)[0]
             c = out[j]._terms
-            si, slo, shi, sm, sn = _stats(seq[j])
+            sj = seq[j]
+            si, slo, shi, sm, sn = _stats(sj)
             clo, chi = min(c), max(c)
             total += max(map(abs, c.values())) * sm * min(len(c), sn)
             if clo + slo < lo or chi + shi > hi or total >> (B - 1):
                 lo, hi, B = min(lo, clo + slo), max(hi, chi + shi), _width(total)
                 break
-            K -= (S >> B * (clo - lo)) * _pack(seq[j], B, W) << B * (si * W + clo + slo - lo)
+            K -= (S >> B * (clo - lo)) * _pack(sj, B, W) << B * (si * W + clo + slo - lo)
         else:
             if K:
                 raise AssertionError("basis conversion left a nonzero residual")
@@ -353,7 +337,7 @@ def _reduce(pairs: Pairs, seq: SequenceSpec) -> list[LaurentPoly]:
     raise AssertionError("packed basis conversion did not settle")
 
 
-def to_basis(p: UniPoly, seq: SequenceSpec) -> list[LaurentPoly]:
+def to_basis(p: UniPoly, seq: Sequence) -> list[LaurentPoly]:
     """Coefficients c_k with p = sum c_k * seq[k]; exact, length deg(p)+1.
 
     seq[k] is read only where c_k is nonzero.
@@ -361,17 +345,15 @@ def to_basis(p: UniPoly, seq: SequenceSpec) -> list[LaurentPoly]:
     return _reduce(((_ONE, p),), seq)
 
 
-def from_basis(coeffs: Sequence[LaurentPoly], seq: SequenceSpec) -> UniPoly:
+def from_basis(coeffs: Iterable[LaurentPoly], seq: Sequence) -> UniPoly:
     """Inverse of to_basis: rebuild the polynomial from its coefficients."""
     return _combine([(UniPoly((c,)), seq[k]) for k, c in enumerate(coeffs) if c._terms])
 
 
-def product_in_basis(seq: SequenceSpec, m: int, n: int) -> list[LaurentPoly]:
+def product_in_basis(seq: Sequence, m: int, n: int) -> list[LaurentPoly]:
     """Coefficients of seq[m] * seq[n] expanded back in the basis {seq[k]}.
 
     The packed product is reduced directly; the product polynomial is
     never built.
     """
-    if m < 0 or n < 0:
-        raise ValueError("indices must be nonnegative")
     return _reduce(((seq[m], seq[n]),), seq)

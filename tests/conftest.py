@@ -1,8 +1,9 @@
 """Shared test helpers: the brute-force oracles the frontier resolver is
 checked against (a 2^c state scan, a single-crossing fold, closed braids
-with known Jones polynomials), single-crossing resolution and a JSON
-description of diagrams, the dict-buffer reference for the packed
-sequence kernel, and random Laurent polynomial generation."""
+with known Jones polynomials, open braids across a marked disk),
+single-crossing resolution and a JSON description of diagrams, the
+dict-buffer reference for the packed sequence kernel, and random Laurent
+polynomial generation."""
 
 from __future__ import annotations
 
@@ -162,6 +163,43 @@ def closed_braid(word: list[int], surface=Disk(), ids: list[int] | None = None) 
             last[pos] = ("X", cid, top)
     edges += [make_edge(last[pos], first[pos], seam) for pos in first]
     return Diagram(surface, tuple(sorted(crossings, key=lambda cr: cr.id)), frozenset(edges))
+
+
+def open_braid(
+    word: list[int], bottom: list[str], top: list[str], ids: list[int] | None = None
+) -> Diagram:
+    """A braid word whose strands run across a marked disk, bottom to top.
+
+    Position i starts at marked point bottom[i - 1] and ends at top[i - 1];
+    positions sharing a point take its height slots left to right, and a
+    position that no letter touches is one edge from bottom to top.  The
+    points, clockwise, are the top ones left to right, then the bottom
+    ones right to left.  Letters, ports and crossing ids are as in
+    closed_braid.
+    """
+    points = [*dict.fromkeys(top), *reversed(dict.fromkeys(bottom))]
+    heights: dict[str, int] = {}
+
+    def end(p: str) -> tuple:
+        heights[p] = heights.get(p, 0) + 1
+        return ("B", p, heights[p] - 1)
+
+    last = {pos: end(p) for pos, p in enumerate(bottom, 1)}
+    ids = range(len(word)) if ids is None else ids
+    crossings, edges = [], []
+    for letter, j in zip(word, ids):
+        i, cid = abs(letter), f"b{j:04d}"
+        crossings.append(Crossing(cid, (0, 2) if letter > 0 else (1, 3)))
+        for pos, down, up in ((i, 0, 1), (i + 1, 3, 2)):
+            edges.append(make_edge(last[pos], ("X", cid, down)))
+            last[pos] = ("X", cid, up)
+    edges += [make_edge(last[pos], end(p)) for pos, p in enumerate(top, 1)]
+    return Diagram(
+        Disk(tuple(points)),
+        tuple(sorted(crossings, key=lambda cr: cr.id)),
+        frozenset(edges),
+        slots=tuple(heights.items()),
+    )
 
 
 def enumerate_states(d: Diagram):

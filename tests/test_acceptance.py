@@ -25,7 +25,7 @@ from skeincalc.positivity import (
     minimality_constraints,
     q_constraints,
 )
-from skeincalc.sequences import CHEBYSHEV, POWER, CustomSequence, UniPoly, chebyshev
+from skeincalc.sequences import CHEBYSHEV, POWER, Sequence, UniPoly, chebyshev
 from skeincalc.skein import (
     DiskMatching,
     LOOP_VALUE,
@@ -94,7 +94,7 @@ def test_criterion_5_loop_minimality():
 
     for n in range(1, 11):
         assert minimality_constraints(CHEBYSHEV, n).conclusion == CONSISTENT
-    shifted = CustomSequence({1: UniPoly([1, 1])}, base=CHEBYSHEV, name="t+1")
+    shifted = Sequence.custom({1: UniPoly([1, 1])}, base=CHEBYSHEV, name="t+1")
     # Refutation of the shifted sequence.  The advertised violated element
     # -(q + q^-1) is the constant term of the formal expansion with
     # (a, c) = (1, (0, 1)); at level 1 a normalized sequence forces
@@ -117,7 +117,7 @@ def test_criterion_5_loop_minimality():
 
 
 def test_criterion_6_arc_condition():
-    rep = q_constraints(CustomSequence({2: chebyshev(2)}, base=POWER, name="T2"), 2)
+    rep = q_constraints(Sequence.custom({2: chebyshev(2)}, base=POWER, name="T2"), 2)
     assert rep.conclusion == CONTRADICTION
     assert any(x.label == "c_0" and x.value == LaurentPoly(-2) for x in rep.failed())
     for n in range(1, 5):

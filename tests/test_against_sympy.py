@@ -17,7 +17,7 @@ from skeincalc.laurent import LaurentPoly
 from skeincalc.sequences import (
     CHEBYSHEV,
     POWER,
-    CustomSequence,
+    Sequence,
     UniPoly,
     chebyshev,
     from_basis,
@@ -45,7 +45,7 @@ def sequences(draw):
     if kind == "power":
         return POWER
     lower = st.lists(laurents, min_size=MAX_N, max_size=MAX_N)
-    return CustomSequence(
+    return Sequence.custom(
         {n: UniPoly([*draw(lower)[:n], 1]) for n in range(1, MAX_N + 1)}
     )
 

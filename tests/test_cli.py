@@ -333,6 +333,35 @@ class TestReports:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("key", ["poly", "Polys", "bsae"])
+    def test_unknown_key_is_two(self, capsys, tmp_path, key):
+        # With "poly" read as absent, P_1 would fall back to plain Chebyshev
+        # and the file would pass as consistent; the intended file fails.
+        seq = tmp_path / "typo.json"
+        seq.write_text(json.dumps({"base": "chebyshev", "polys": {"1": [1, 1]}}))
+        assert run_cli(capsys, "minimality", "--seq", str(seq), "--n", "3")[0] == 1
+        seq.write_text(json.dumps({"base": "chebyshev", key: {"1": [1, 1]}}))
+        code, out, err = run_cli(capsys, "minimality", "--seq", str(seq), "--n", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"base": "chebyshev", "polys": {"1": [1, 1], "1": [0, 1]}}',
+            '{"2": [{"1": 1, "1": -1}, 0, 1]}',
+            '{"base": "chebyshev", "polys": {"2": [{"1": 1, "1": -1}, 0, 1]}}',
+            '[[1], [0, 1], [{"0": 1, "0": -1}, 0, 1]]',
+            '{"base": "power", "base": "chebyshev"}',
+        ],
+    )
+    def test_repeated_key_is_two(self, capsys, tmp_path, text):
+        seq = tmp_path / "twice.json"
+        seq.write_text(text)
+        code, out, err = run_cli(capsys, "minimality", "--seq", str(seq), "--n", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "repeats the key" in err
+
     def test_bare_list_sequence_with_laurent_coefficients(self, capsys, tmp_path):
         # P_2 = t^2 + (q + q^-1) has Chebyshev coordinates (2 + q + q^-1, 0, 1),
         # a nonnegative mix, so the loop condition is consistent.

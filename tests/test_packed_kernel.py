@@ -26,7 +26,7 @@ from skeincalc.laurent import LaurentPoly, ONE, ZERO
 from skeincalc.sequences import (
     CHEBYSHEV,
     POWER,
-    CustomSequence,
+    Sequence,
     UniPoly,
     from_basis,
     product_in_basis,
@@ -53,7 +53,7 @@ def sequences_(draw):
     for n in range(1, MAX_DEGREE + 1):
         lower = draw(st.dictionaries(st.integers(0, n - 1), laurents, max_size=2))
         table[n] = UniPoly([*(lower.get(i, ZERO) for i in range(n)), ONE])
-    return CustomSequence(table)
+    return Sequence.custom(table)
 
 
 def ref_add(a, b, sign=1):
@@ -85,7 +85,7 @@ def _edge_values():
 def test_coefficients_at_digit_edges(v):
     a = UniPoly([v, LaurentPoly({-2: -v, 3: v}), LaurentPoly({0: v, 1: 1}), 1])
     b = UniPoly([LaurentPoly({-20: v}), -v, v])
-    seq = CustomSequence({2: UniPoly([LaurentPoly({-1: v}), -v, 1]), 3: a}, base=POWER)
+    seq = Sequence.custom({2: UniPoly([LaurentPoly({-1: v}), -v, 1]), 3: a}, base=POWER)
     for s in (CHEBYSHEV, POWER, seq):
         assert_matches_reference(a, b, LaurentPoly({5: v, -5: -v}), s)
         assert product_in_basis(s, 3, 3) == ref_product_in_basis(s, 3, 3)
@@ -155,7 +155,7 @@ def _count_passes(monkeypatch):
 )
 def test_reduction_outgrowing_its_frame_is_retried(monkeypatch, low):
     # seq[2] reaches q^-30 and q^30, beyond the frame of every input here.
-    seq = CustomSequence(
+    seq = Sequence.custom(
         {1: UniPoly([low, 1]), 2: UniPoly([LaurentPoly({30: -1, -30: 1}), low, 1])}
     )
     p = UniPoly([0, LaurentPoly({1: 2}), 1])
@@ -173,7 +173,7 @@ def test_wide_digits_are_retried(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     # t has 1-byte digits; subtracting c_1 * (t + 10^6) needs 3 bytes.
-    seq = CustomSequence({1: UniPoly([10**6, 1])})
+    seq = Sequence.custom({1: UniPoly([10**6, 1])})
     assert to_basis(UniPoly([0, 1]), seq) == [LaurentPoly(-(10**6)), ONE]
     assert len(calls) == 2
 

@@ -18,11 +18,11 @@ from skeincalc.positivity import (
     q_constraints,
     structure_constant_audit,
 )
-from skeincalc.sequences import CHEBYSHEV, POWER, CustomSequence, UniPoly
+from skeincalc.sequences import CHEBYSHEV, POWER, Sequence, UniPoly
 
 
 def plus_one_sequence():
-    return CustomSequence({1: UniPoly([1, 1])}, base=CHEBYSHEV, name="t+1")
+    return Sequence.custom({1: UniPoly([1, 1])}, base=CHEBYSHEV, name="t+1")
 
 
 class TestLoopProductExpansion:
@@ -91,10 +91,10 @@ class TestMinimality:
         assert report.c == (LaurentPoly(2), ZERO, ONE)
 
     def test_negative_chebyshev_mix_fails(self):
-        seq = CustomSequence({2: UniPoly([1, 0, 1])}, base=CHEBYSHEV, name="t^2+1")
+        seq = Sequence.custom({2: UniPoly([1, 0, 1])}, base=CHEBYSHEV, name="t^2+1")
         # t^2 + 1 = T_2 + 3, still a positive mix: consistent.
         assert minimality_constraints(seq, 2).conclusion == CONSISTENT
-        seq = CustomSequence({2: UniPoly([-3, 0, 1])}, base=CHEBYSHEV, name="t^2-3")
+        seq = Sequence.custom({2: UniPoly([-3, 0, 1])}, base=CHEBYSHEV, name="t^2-3")
         # t^2 - 3 = T_2 - 1: the P_1(z') coefficient is -1.
         report = minimality_constraints(seq, 2)
         assert report.conclusion == CONTRADICTION
@@ -121,7 +121,7 @@ class TestMinimality:
             table = {1: UniPoly([a, 1])}
             if n > 1:
                 table[n] = from_basis(coeffs, CHEBYSHEV)
-            seq = CustomSequence(table, base=CHEBYSHEV, name="shifted")
+            seq = Sequence.custom(table, base=CHEBYSHEV, name="shifted")
             report = minimality_constraints(seq, n)
             assert report.conclusion == CONTRADICTION
             assert [x.label for x in report.failed()] == ["d"]
@@ -137,7 +137,7 @@ class TestArcConstraints:
         assert report.c == (ZERO, ZERO, ONE)
 
     def test_shifted_q2_fails(self):
-        seq = CustomSequence({2: UniPoly([-1, 0, 1])}, base=POWER, name="t^2-1")
+        seq = Sequence.custom({2: UniPoly([-1, 0, 1])}, base=POWER, name="t^2-1")
         report = q_constraints(seq, 2)
         assert report.conclusion == CONTRADICTION
         assert any(x.label == "c_0" and x.value == LaurentPoly(-1) for x in report.failed())
@@ -169,7 +169,7 @@ class TestAudit:
             assert all(r.all_positive for r in rows)
 
     def test_negative_mix_detected(self):
-        seq = CustomSequence({2: UniPoly([0, -1, 1])}, base=POWER, name="t^2-t")
+        seq = Sequence.custom({2: UniPoly([0, -1, 1])}, base=POWER, name="t^2-t")
         rows = structure_constant_audit(seq, 3).rows
         assert any(not r.all_positive for r in rows)
 
@@ -186,11 +186,11 @@ WOBBLE = LaurentPoly({1: 1, -1: -1})  # q - q^-1: outside R_+, but 0 at q = 1
 REPORTS = {
     "loop t+1": lambda: minimality_constraints(plus_one_sequence(), 2),
     "loop wobble": lambda: minimality_constraints(
-        CustomSequence({1: UniPoly([WOBBLE, 1])}, base=CHEBYSHEV), 2
+        Sequence.custom({1: UniPoly([WOBBLE, 1])}, base=CHEBYSHEV), 2
     ),
     "arc power": lambda: q_constraints(POWER, 2, diagram_check=True),
     "arc wobble": lambda: q_constraints(
-        CustomSequence({2: UniPoly([WOBBLE, 0, 1])}, base=POWER), 2, diagram_check=True
+        Sequence.custom({2: UniPoly([WOBBLE, 0, 1])}, base=POWER), 2, diagram_check=True
     ),
 }
 
@@ -219,7 +219,7 @@ class TestReportShape:
 
     def test_q1_json_carries_the_q1_conclusion(self):
         # a = q - q^-1 breaks R_+ but every value is >= 0 at q = 1.
-        seq = CustomSequence({1: UniPoly([WOBBLE, 1])}, base=CHEBYSHEV)
+        seq = Sequence.custom({1: UniPoly([WOBBLE, 1])}, base=CHEBYSHEV)
         report = minimality_constraints(seq, 2)
         assert as_json(report)["conclusion"] == CONTRADICTION
         assert as_json(report, q1=True)["conclusion"] == CONSISTENT

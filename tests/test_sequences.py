@@ -2,13 +2,15 @@
 
 import pytest
 
+import skeincalc
 from conftest import random_laurent
+from skeincalc import sequences
 from skeincalc.laurent import LaurentPoly, ONE, ZERO
 from skeincalc.sequences import (
     CHEBYSHEV,
     POWER,
-    CustomSequence,
-    SequenceSpec,
+    MissingEntry,
+    Sequence,
     UniPoly,
     chebyshev,
     from_basis,
@@ -91,14 +93,9 @@ class TestToBasis:
                 assert to_basis(from_basis(coeffs, seq), seq) == coeffs
 
 
-class _Table(SequenceSpec):
+def _Table(*polys):
     """A bare lookup table that skips the monic-of-degree-n checks."""
-
-    def __init__(self, *polys):
-        self.polys = polys
-
-    def poly(self, n):
-        return self.polys[n]
+    return Sequence("table", polys.__getitem__)
 
 
 class TestToBasisResidual:
@@ -121,7 +118,7 @@ class TestToBasisResidual:
         assert from_basis([ONE, ONE], seq) == p
 
     def test_reads_only_entries_it_needs(self):
-        seq = CustomSequence({2: UniPoly([0, 1, 1])})
+        seq = Sequence.custom({2: UniPoly([0, 1, 1])})
         assert to_basis(UniPoly([0, 2, 2]), seq) == [ZERO, ZERO, LaurentPoly(2)]
 
 
@@ -152,6 +149,12 @@ class TestProductInBasis:
                 got = {i: c for i, c in enumerate(coeffs) if not c.is_zero()}
                 assert got == expected, (m, n)
 
+    @pytest.mark.parametrize("m, n", [(-1, 2), (2, -1)])
+    def test_rejects_negative_index(self, m, n):
+        for seq in (CHEBYSHEV, POWER, Sequence.custom({1: UniPoly([1, 1])}, base=POWER)):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                product_in_basis(seq, m, n)
+
     def test_structure_constants_positive_to_20(self):
         for seq in (CHEBYSHEV, POWER):
             for m in range(21):
@@ -163,37 +166,44 @@ class TestProductInBasis:
 
 class TestCustomSequence:
     def test_override_with_base(self):
-        seq = CustomSequence({1: UniPoly([1, 1])}, base=CHEBYSHEV)
+        seq = Sequence.custom({1: UniPoly([1, 1])}, base=CHEBYSHEV)
         assert seq[1] == UniPoly([1, 1])
         assert seq[2] == chebyshev(2)
         assert seq[0] == UniPoly([1])
 
     def test_rejects_nonmonic(self):
         with pytest.raises(ValueError):
-            CustomSequence({2: UniPoly([0, 0, 2])})
+            Sequence.custom({2: UniPoly([0, 0, 2])})
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
-            CustomSequence({2: UniPoly([0, 1])})
+            Sequence.custom({2: UniPoly([0, 1])})
 
     def test_rejects_inexact_index(self):
         with pytest.raises(TypeError):
-            CustomSequence({1.5: UniPoly([0, 1])})
+            Sequence.custom({1.5: UniPoly([0, 1])})
 
     @pytest.mark.parametrize("n", [1.0, 1.5])
     def test_lookup_rejects_inexact_index(self, n):
-        seq = CustomSequence({1: UniPoly([0, 1])})
+        seq = Sequence.custom({1: UniPoly([0, 1])})
         with pytest.raises(TypeError):
             seq[n]
 
     def test_rejects_bad_constant(self):
         with pytest.raises(ValueError):
-            CustomSequence({0: UniPoly([2])})
+            Sequence.custom({0: UniPoly([2])})
 
     def test_missing_entry(self):
-        seq = CustomSequence({1: UniPoly([0, 1])})
-        with pytest.raises(ValueError):
+        seq = Sequence.custom({1: UniPoly([0, 1])})
+        with pytest.raises(MissingEntry):
             seq[3]
+
+
+def test_sequence_is_the_one_sequence_type():
+    assert skeincalc.Sequence is Sequence
+    assert type(CHEBYSHEV) is type(POWER) is type(Sequence.custom({})) is Sequence
+    for old in ("SequenceSpec", "ChebyshevSequence", "PowerSequence", "CustomSequence"):
+        assert not hasattr(sequences, old) and not hasattr(skeincalc, old)
 
 
 class TestUniPoly:

@@ -1,5 +1,7 @@
 """The resolution engine: normal forms, full expansion, quotients."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from conftest import (
     collect_loop_windings,
     enumerate_states,
     fold_resolve,
+    open_braid,
     resolve_crossing,
     scan_resolve,
 )
@@ -429,12 +432,16 @@ def partial_diagrams(draw):
             d = resolve_crossing(d, cr.id, sign)
     ideal = None
     if isinstance(d.surface, Disk) and d.surface.points:
-        pts = d.surface.points
-        adjacent = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
-        gens = draw(st.lists(st.sampled_from(adjacent), max_size=4, unique=True))
-        if gens:
-            ideal = IdealSpec.of_pairs(gens)
+        ideal = boundary_arc_ideal(draw, d.surface.points)
     return d, ideal
+
+
+def boundary_arc_ideal(draw, pts) -> IdealSpec | None:
+    """A random set of at most 4 boundary arcs of the disk with points pts,
+    as an ideal (None when the set is empty)."""
+    adjacent = [(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts))]
+    gens = draw(st.lists(st.sampled_from(adjacent), max_size=4, unique=True))
+    return IdealSpec.of_pairs(gens) if gens else None
 
 
 @st.composite
@@ -448,6 +455,28 @@ def braid_closures(draw):
     word = [draw(st.sampled_from((1, -1))) * i for i in letters]
     ids = draw(st.permutations(range(len(word))))
     return word, ids, draw(st.sampled_from((Disk(), Annulus())))
+
+
+@st.composite
+def open_braids(draw):
+    """A braid word of 2-5 strands and at most 12 letters of random signs,
+    with shuffled crossing ids, run across a marked disk; neighbouring
+    strands share a bottom or top point at random, so those points carry
+    several height slots.  Returns the open_braid arguments and a random
+    boundary-arc ideal of its disk (None when empty)."""
+    strands = draw(st.integers(2, 5))
+    letter = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    length = draw(st.integers(0, 12))
+    word = draw(st.lists(letter, min_size=length, max_size=length))
+    ids = draw(st.permutations(range(len(word))))
+
+    def ends(side: str) -> list[str]:
+        new_point = draw(st.lists(st.booleans(), min_size=strands - 1, max_size=strands - 1))
+        return [f"{side}{k}" for k in itertools.accumulate(new_point, initial=0)]
+
+    bottom, top = ends("b"), ends("t")
+    points = open_braid([], bottom, top).surface.points
+    return (word, bottom, top, ids), boundary_arc_ideal(draw, points)
 
 
 class TestFrontierAgainstOracles:
@@ -470,3 +499,26 @@ class TestFrontierAgainstOracles:
         got = resolve_all(d)
         assert got == scan_resolve(d) == fold_resolve(d)
         assert got == resolve_all(closed_braid(word, surface))
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(open_braids())
+    def test_open_braids_match_scan_and_fold(self, case):
+        (word, bottom, top, ids), ideal = case
+
+        def resolve(d):
+            return resolve_all(d) if ideal is None else resolve_all_mod(d, ideal)
+
+        d = open_braid(word, bottom, top, ids)
+        got = resolve(d)
+        if ideal is None:
+            assert got == fold_resolve(d)
+        assert got == scan_resolve(d, ideal) == resolve(open_braid(word, bottom, top))
+
+    def test_open_braid_shared_points_and_ideal_kill(self):
+        # The negative smoothing of sigma_1 joins the two ends at b0, and
+        # the two at t0: that state dies, and the arc b0-t0 kills the other.
+        d = open_braid([1], ["b0", "b0"], ["t0", "t0"])
+        assert d.slots == (("b0", 2), ("t0", 2))
+        got = resolve_all(d)
+        assert [c for _, c in got.items()] == [q_power(1)]
+        assert resolve_all_mod(d, IdealSpec.of_pairs([("b0", "t0")])).is_zero()
