@@ -1,3 +1,3 @@
-from .cli import main
+from ._parser import main
 
 main()

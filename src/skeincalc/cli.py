@@ -9,20 +9,20 @@ sequence file, crossing cap exceeded), raised before any work.  Output is
 deterministic: basis elements in canonical order, exponents ascending,
 byte-identical across runs and for every --jobs value.
 
-Only the commands that resolve a diagram (verify-*, resolve, and
-arc-constraints --diagram-check) load diagram.py and skein.py, so
---help, audit, minimality and arc-constraints start without them.
+The parser and the entry live in _parser.py; build_parser and main are
+re-exported here.  Only the commands that resolve a diagram (verify-*,
+resolve, and arc-constraints --diagram-check) load diagram.py and
+skein.py, so audit, minimality and arc-constraints run without them.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import re
 import sys
 from typing import TYPE_CHECKING
 
-from ._cap import DEFAULT_CROSSING_CAP, CrossingCapExceeded, refuse_over_cap
+from ._cap import CrossingCapExceeded, refuse_over_cap
+from ._parser import build_parser, main  # noqa: F401  (re-exported)
 from ._record import Record
 from .laurent import LaurentPoly
 from .positivity import (
@@ -44,6 +44,8 @@ from .sequences import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .diagram import Diagram
     from .skein import SkeinVector
 
@@ -79,6 +81,8 @@ def load_sequence(spec: str) -> Sequence:
                 raise UsageError(f"sequence file {spec!r} repeats the key {key!r}")
             obj[key] = value
         return obj
+
+    import json
 
     try:
         with open(spec) as fh:
@@ -139,6 +143,13 @@ def load_sequence(spec: str) -> Sequence:
 # -- rendering -----------------------------------------------------------------
 
 
+def _json_document(obj) -> str:
+    """A --format json report; json loads only when one is printed."""
+    import json
+
+    return json.dumps(obj, indent=2)
+
+
 def _coeff_repr(c: LaurentPoly, q1: bool):
     """A coefficient's JSON value: an {exponent: int} object, or at q = 1 an int."""
     return c.eval_q1() if q1 else c.to_json_dict()
@@ -195,7 +206,7 @@ def emit_report(report, fmt: str, q1: bool = False) -> str:
     if not isinstance(report, SkeinVector):
         raise TypeError(f"no renderer for {type(report).__name__}")
     if fmt == "json":
-        return json.dumps(vector_json(report, q1), indent=2)
+        return _json_document(vector_json(report, q1))
     if fmt == "tsv":
         rows = [f"{b.label()}\t{_coeff_text(c, q1)}" for b, c in report.items()]
         return "\n".join(rows) if rows else "0"
@@ -204,7 +215,7 @@ def emit_report(report, fmt: str, q1: bool = False) -> str:
 
 def _emit_identity(report: IdentityReport, fmt: str, q1: bool) -> str:
     if fmt == "json":
-        return json.dumps(
+        return _json_document(
             {
                 "name": report.name,
                 "statement": report.statement,
@@ -218,8 +229,7 @@ def _emit_identity(report: IdentityReport, fmt: str, q1: bool) -> str:
                     for c in report.cases
                 ],
                 "ok": report.ok(),
-            },
-            indent=2,
+            }
         )
     if fmt == "tsv":
         lines = [
@@ -243,7 +253,7 @@ def _emit_constraints(report: ConstraintReport, fmt: str, q1: bool) -> str:
     conclusion = report.conclusion_for(q1)
     cone = "Z_+" if q1 else "R_+"
     if fmt == "json":
-        return json.dumps(
+        return _json_document(
             {
                 "subject": report.subject,
                 "a": None if report.a is None else _coeff_repr(report.a, q1),
@@ -261,8 +271,7 @@ def _emit_constraints(report: ConstraintReport, fmt: str, q1: bool) -> str:
                     for x in report.constraints
                 ],
                 "conclusion": conclusion,
-            },
-            indent=2,
+            }
         )
     rows = []
     for x in report.constraints:
@@ -291,14 +300,13 @@ def _emit_constraints(report: ConstraintReport, fmt: str, q1: bool) -> str:
 def _emit_audit(report: AuditReport, fmt: str, q1: bool) -> str:
     rows, ok = report.rows, report.ok(q1)
     if fmt == "json":
-        return json.dumps(
+        return _json_document(
             {
                 "rows": [
                     {"m": r.m, "n": r.n, "all_positive": r.passes(q1)} for r in rows
                 ],
                 "ok": ok,
-            },
-            indent=2,
+            }
         )
     lines = [
         f"{r.m}\t{r.n}\t{'PASS' if r.passes(q1) else 'FAIL'}" for r in rows
@@ -492,88 +500,6 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="skeincalc",
-        description=(
-            "Exact Kauffman bracket skein calculator: identity verification "
-            "by full crossing resolution, structure-constant audits, and "
-            "positivity constraint reports."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
-        p.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("text", "json", "tsv"),
-            default="text",
-            help="report format (default text)",
-        )
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=DEFAULT_CROSSING_CAP,
-            help=f"crossing-count cap for full expansion (default {DEFAULT_CROSSING_CAP})",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="accepted for compatibility (must be >= 1); no effect on output or processes",
-        )
-        p.add_argument(
-            "--q1", action="store_true", help="specialize all reports at q = 1"
-        )
-
-    p = sub.add_parser("verify-theta", help="check the arc transport identity")
-    p.add_argument("--n", type=int, required=True, help="check levels 1..n")
-    common(p)
-
-    p = sub.add_parser("verify-zkn", help="check the grid quotient identity")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("verify-d1", help="check xy = 0 mod all boundary arcs")
-    common(p)
-
-    p = sub.add_parser("audit", help="structure-constant positivity audit")
-    p.add_argument("--seq", default="chebyshev")
-    p.add_argument("--max-n", dest="max_n", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("minimality", help="loop minimality constraint report")
-    p.add_argument("--seq", default="chebyshev")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("arc-constraints", help="arc sequence constraint report")
-    p.add_argument("--seq", default="power")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k-max", dest="k_max", type=int, default=None)
-    p.add_argument(
-        "--diagram-check",
-        action="store_true",
-        help="re-derive the quotient weights with the resolution engine",
-    )
-    common(p)
-
-    p = sub.add_parser("resolve", help="fully resolve a builder diagram")
-    p.add_argument(
-        "diagram", help="core:K, theta:K, xkyn:K,N, zkn:K,N, d1, or kink:+|-"
-    )
-    p.add_argument(
-        "--ideal",
-        choices=("none", "boundary", "grid"),
-        default="none",
-        help="discard states landing in this boundary-arc ideal",
-    )
-    common(p)
-    return parser
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed command; returns the process exit code."""
     try:
@@ -590,11 +516,3 @@ def run(args: argparse.Namespace) -> int:
         return 2
     print(text)
     return 0 if ok else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    code = run(parser.parse_args(argv))
-    if argv is None:
-        sys.exit(code)
-    return code

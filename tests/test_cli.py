@@ -447,17 +447,23 @@ class TestDeterminism:
         assert a == b
 
 
-def run_python(code: str) -> str:
-    """The stdout of code run in a fresh interpreter that imports this skeincalc."""
+def run_fresh(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this skeincalc, with text output."""
     src = str(Path(skeincalc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True,
         text=True,
-        check=True,
-    ).stdout
+    )
+
+
+def run_python(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports this skeincalc."""
+    done = run_fresh("-c", code)
+    done.check_returncode()
+    return done.stdout
 
 
 def loaded_after(code: str) -> list[str]:
@@ -501,19 +507,76 @@ class TestStartup:
         assert not RESOLVER & set(loaded_after("import skeincalc.cli"))
 
     @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["audit", "--help"], 0), (["audit"], 2)],
+        ids=["help", "audit-help", "usage-error"],
+    )
+    def test_entry_exits_before_the_library(self, argv, code):
+        # The package run as __main__, as python -m skeincalc runs it: help
+        # and usage errors end in the parser, before cli or the library loads.
+        probe = (
+            "import contextlib, io, runpy, sys\n"
+            f"sys.argv = ['skeincalc', *{argv!r}]\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    try:\n"
+            "        runpy.run_module('skeincalc', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print((code, sorted(m for m in sys.modules if m.startswith('skeincalc.'))))"
+        )
+        exited, loaded = ast.literal_eval(run_python(probe))
+        assert exited == code
+        assert loaded == ["skeincalc._cap", "skeincalc._parser"]
+
+    @pytest.mark.parametrize(
         "argv",
         [
-            ["--help"],
+            pytest.param(["--help"], id="help"),
+            *(pytest.param([c, "--help"], id=f"{c}-help") for c in cli._COMMANDS),
+            pytest.param(["audit"], id="missing-flag"),
+            pytest.param(["audit", "--max-n", "3", "--format", "xml"], id="bad-format"),
+        ],
+    )
+    def test_module_entry_matches_cli_main(self, argv, capsys, monkeypatch):
+        # Help wraps at the terminal width, which COLUMNS fixes on both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        done = run_fresh("-m", "skeincalc", *argv, COLUMNS="80")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            exc.value.code,
+            captured.out,
+            captured.err,
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["audit", "--max-n", "3"],
             ["minimality", "--n", "3"],
             ["arc-constraints", "--n", "3"],
         ],
-        ids=["help", "audit", "minimality", "arc-constraints"],
+        ids=["audit", "minimality", "arc-constraints"],
     )
     def test_report_commands_skip_the_resolver(self, argv):
         loaded = set(loaded_by_command(*argv))
         assert "skeincalc.positivity" in loaded
         assert not RESOLVER & loaded
+
+    def test_json_loads_only_for_a_json_document(self):
+        run = "import contextlib, io, sys, skeincalc.cli\n" + "\n".join(
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    skeincalc.cli.main({argv!r})\n"
+            "print('json' in sys.modules)"
+            for argv in (
+                ["audit", "--max-n", "3"],
+                ["minimality", "--n", "3", "--format", "tsv"],
+                ["audit", "--max-n", "3", "--format", "json"],
+            )
+        )
+        assert run_python(run).split() == ["False", "False", "True"]
 
     @pytest.mark.parametrize(
         "argv",
