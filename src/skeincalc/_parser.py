@@ -1,8 +1,9 @@
 """The command-line parser and the entry point.
 
-This module imports only argparse, sys and _cap, and imports cli only
-once the arguments parse, so --help, every subcommand's --help and every
-argparse usage error (exit 2) end before any library module loads.
+This module imports only argparse, sys and _cap, and imports the runner
+(_run.py) only once the arguments parse, so --help, every subcommand's
+--help and every argparse usage error (exit 2) end before any library
+module loads.  The runner loads cli.py only for a report command.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    from .cli import run
+    from ._run import run
 
     code = run(args)
     if argv is None:

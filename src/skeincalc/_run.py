@@ -1,0 +1,323 @@
+"""The runner: one parsed command in, one exit code out.
+
+run holds the one command table and the one exit-code mapping, and
+emit_report the one renderer entry for every report type.  The
+commands that resolve a diagram (verify-theta, verify-zkn, verify-d1 and
+resolve) live here with the identity and vector renderers, so they load
+only the resolver (diagram.py, skein.py and laurent.py), and verify-theta
+sequences.py for chebyshev.  The report commands (audit, minimality and
+arc-constraints) live in cli.py with positivity.py and sequences.py,
+which load only when one of them runs.
+
+Exit codes are a stable contract: 0 all checks pass, 1 a verification or
+constraint failed, 2 usage error (bad bounds, a size over its limit, bad
+sequence file, crossing cap exceeded), raised before any work.  Output is
+deterministic: basis elements in canonical order, exponents ascending,
+byte-identical across runs and for every --jobs value.
+"""
+
+from __future__ import annotations
+
+import sys
+from typing import TYPE_CHECKING
+
+from ._cap import CrossingCapExceeded, refuse_over_cap
+from ._record import Record
+
+if TYPE_CHECKING:
+    import argparse
+
+    from .diagram import Diagram
+    from .laurent import LaurentPoly
+    from .skein import SkeinVector
+
+
+class UsageError(Exception):
+    """Bad bounds or configuration; maps to exit code 2."""
+
+
+# -- rendering -----------------------------------------------------------------
+
+
+def _json_document(obj) -> str:
+    """A --format json report; json loads only when one is printed."""
+    import json
+
+    return json.dumps(obj, indent=2)
+
+
+def _coeff_repr(c: LaurentPoly, q1: bool):
+    """A coefficient's JSON value: an {exponent: int} object, or at q = 1 an int."""
+    return c.eval_q1() if q1 else c.to_json_dict()
+
+
+def _coeff_text(c: LaurentPoly, q1: bool) -> str:
+    """A coefficient as text and tsv print it."""
+    return str(c.eval_q1()) if q1 else str(c)
+
+
+def render_vector(v: SkeinVector, q1: bool = False) -> str:
+    if not q1:
+        return str(v)
+    parts = [
+        _coeff_text(c, q1) + ("" if b.label() == "1" else f"·{b.label()}")
+        for b, c in v.items()
+    ]
+    return " + ".join(parts) or "0"
+
+
+def vector_json(v: SkeinVector, q1: bool = False) -> list[dict]:
+    return [{"basis": b.label(), "coeff": _coeff_repr(c, q1)} for b, c in v.items()]
+
+
+class CaseResult(Record):
+    """One checked case of an identity: its label and both sides."""
+
+    __slots__ = ("label", "lhs", "rhs")  # str, SkeinVector, SkeinVector
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs == self.rhs
+
+
+class IdentityReport(Record):
+    """A verification command's report: one line per checked case."""
+
+    __slots__ = ("name", "statement", "cases")  # str, str, tuple[CaseResult, ...]
+
+    def ok(self) -> bool:
+        return all(c.ok for c in self.cases)
+
+
+def emit_report(report, fmt: str, q1: bool = False) -> str:
+    """Deterministic rendering of any report object in the chosen format.
+
+    A report's class belongs to a module that has loaded, so the library
+    types are looked up in sys.modules: no module loads only to rule a
+    type out.  The constraint and audit renderers live in cli.py."""
+    if isinstance(report, IdentityReport):
+        return _emit_identity(report, fmt, q1)
+    skein = sys.modules.get(f"{__package__}.skein")
+    if skein is not None and isinstance(report, skein.SkeinVector):
+        return _emit_vector(report, fmt, q1)
+    positivity = sys.modules.get(f"{__package__}.positivity")
+    if positivity is not None:
+        if isinstance(report, positivity.ConstraintReport):
+            from .cli import _emit_constraints
+
+            return _emit_constraints(report, fmt, q1)
+        if isinstance(report, positivity.AuditReport):
+            from .cli import _emit_audit
+
+            return _emit_audit(report, fmt, q1)
+    raise TypeError(f"no renderer for {type(report).__name__}")
+
+
+def _emit_vector(v: SkeinVector, fmt: str, q1: bool) -> str:
+    if fmt == "json":
+        return _json_document(vector_json(v, q1))
+    if fmt == "tsv":
+        rows = [f"{b.label()}\t{_coeff_text(c, q1)}" for b, c in v.items()]
+        return "\n".join(rows) if rows else "0"
+    return render_vector(v, q1)
+
+
+def _emit_identity(report: IdentityReport, fmt: str, q1: bool) -> str:
+    if fmt == "json":
+        return _json_document(
+            {
+                "name": report.name,
+                "statement": report.statement,
+                "cases": [
+                    {
+                        "case": c.label,
+                        "lhs": vector_json(c.lhs, q1),
+                        "rhs": vector_json(c.rhs, q1),
+                        "ok": c.ok,
+                    }
+                    for c in report.cases
+                ],
+                "ok": report.ok(),
+            }
+        )
+    if fmt == "tsv":
+        lines = [
+            f"{c.label}\t{render_vector(c.lhs, q1)}\t{render_vector(c.rhs, q1)}\t"
+            f"{'PASS' if c.ok else 'FAIL'}"
+            for c in report.cases
+        ]
+        lines.append(f"RESULT\t{'PASS' if report.ok() else 'FAIL'}")
+        return "\n".join(lines)
+    lines = [f"{report.name}: {report.statement}"]
+    for c in report.cases:
+        mark = "PASS" if c.ok else "FAIL"
+        lines.append(f"  {c.label}:")
+        lines.append(f"    lhs = {render_vector(c.lhs, q1)}")
+        lines.append(f"    rhs = {render_vector(c.rhs, q1)}   -> {mark}")
+    lines.append(f"RESULT: {'PASS' if report.ok() else 'FAIL'}")
+    return "\n".join(lines)
+
+
+# -- commands ------------------------------------------------------------------
+
+
+def _cmd_verify_theta(args: argparse.Namespace) -> tuple[bool, str]:
+    if args.n < 1:
+        raise UsageError("verify-theta needs --n >= 1")
+    refuse_over_cap(f"theta:{args.n}", args.n, args.cap)
+    from .sequences import chebyshev
+    from .skein import theta_bullet, theta_transport_target
+
+    cases = [
+        CaseResult(f"n={j}", theta_bullet(chebyshev(j), cap=args.cap), theta_transport_target(j))
+        for j in range(1, args.n + 1)
+    ]
+    report = IdentityReport(
+        name="theta transport",
+        statement=(
+            "stacking the inner-to-outer arc above T_n(z) resolves to "
+            "q^n·theta_n + q^-n·theta_-n"
+        ),
+        cases=tuple(cases),
+    )
+    return report.ok(), emit_report(report, args.fmt, args.q1)
+
+
+def _cmd_verify_zkn(args: argparse.Namespace) -> tuple[bool, str]:
+    k, n = args.k, args.n
+    if not 1 <= k <= n:
+        raise UsageError("verify-zkn needs 1 <= --k <= --n")
+    refuse_over_cap(f"xkyn:{k},{n}", k * n, args.cap)
+    from .skein import grid_identity
+
+    lhs, rhs = grid_identity(k, n, args.cap)
+    report = IdentityReport(
+        name="grid quotient",
+        statement=(
+            f"x^{k} y_{n} equals q^-{k * n} z_({k},{n}) modulo the boundary "
+            f"arcs p0p1..p{n - 1}p{n}"
+        ),
+        cases=(CaseResult(f"k={k},n={n}", lhs, rhs),),
+    )
+    return report.ok(), emit_report(report, args.fmt, args.q1)
+
+
+def _cmd_verify_d1(args: argparse.Namespace) -> tuple[bool, str]:
+    from .diagram import build_d1_xy
+    from .skein import SkeinVector, full_boundary_ideal, resolve_all_mod
+
+    d = build_d1_xy()
+    lhs = resolve_all_mod(d, full_boundary_ideal(d.surface), cap=args.cap)
+    report = IdentityReport(
+        name="4-marked disk quotient",
+        statement="x·y vanishes modulo the ideal of all four boundary arcs",
+        cases=(CaseResult("xy mod boundary", lhs, SkeinVector.zero()),),
+    )
+    return report.ok(), emit_report(report, args.fmt, args.q1)
+
+
+# core:K has no crossings, so no cap bounds it, yet it builds K loops
+# (about 20 bytes each) before anything is printed.
+MAX_CORE_LOOPS = 100_000
+
+
+def _parse_diagram(spec: str, cap: int) -> Diagram:
+    """Build the diagram a spec names, first refusing a spec whose
+    crossings exceed the cap: theta:K has K, and xkyn:K,N and zkn:K,N
+    have K*N (zkn resolves them while it is built).  core:K is refused
+    above MAX_CORE_LOOPS."""
+    from . import diagram
+
+    name, _, args = spec.partition(":")
+    try:
+        if name == "core":
+            k = int(args)
+            if k > MAX_CORE_LOOPS:
+                raise UsageError(f"core:K takes K <= {MAX_CORE_LOOPS}, got {k}")
+            return diagram.build_core_stack(k)
+        if name == "theta":
+            k = int(args)
+            refuse_over_cap(spec, k, cap)
+            return diagram.build_theta_over_cores(k)
+        if name in ("xkyn", "zkn"):
+            k_s, _, n_s = args.partition(",")
+            k, n = int(k_s), int(n_s)
+            if k > 0 and n > 0:
+                refuse_over_cap(spec, k * n, cap)
+            build = diagram.build_xk_yn if name == "xkyn" else diagram.build_zkn
+            return build(k, n)
+        if name == "d1":
+            return diagram.build_d1_xy()
+        if name == "kink":
+            if args not in ("+", "-"):
+                raise UsageError("kink takes + or -")
+            return diagram.build_kink(1 if args == "+" else -1)
+    except CrossingCapExceeded:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"bad diagram spec {spec!r}: {exc}") from exc
+    raise UsageError(
+        f"unknown diagram {spec!r}; use core:K, theta:K, xkyn:K,N, zkn:K,N, d1, kink:+|-"
+    )
+
+
+def _cmd_resolve(args: argparse.Namespace) -> tuple[bool, str]:
+    if not args.diagram:
+        raise UsageError("resolve needs a diagram spec")
+    d = _parse_diagram(args.diagram, args.cap)
+    from .diagram import Disk
+    from .skein import full_boundary_ideal, grid_ideal, resolve_all, resolve_all_mod
+
+    if args.ideal == "none":
+        vec = resolve_all(d, cap=args.cap)
+    else:
+        if not isinstance(d.surface, Disk):
+            raise UsageError("ideals only apply to disk diagrams")
+        ideal = (
+            full_boundary_ideal(d.surface)
+            if args.ideal == "boundary"
+            else grid_ideal((len(d.surface.points) - 2) // 2)
+        )
+        vec = resolve_all_mod(d, ideal, cap=args.cap)
+    return True, emit_report(vec, args.fmt, args.q1)
+
+
+def _in_cli(name: str):
+    """A report command, run from cli.py, which loads positivity.py and
+    sequences.py: only these commands import it."""
+
+    def command(args: argparse.Namespace) -> tuple[bool, str]:
+        from . import cli
+
+        return getattr(cli, name)(args)
+
+    return command
+
+
+_COMMANDS = {
+    "verify-theta": _cmd_verify_theta,
+    "verify-zkn": _cmd_verify_zkn,
+    "verify-d1": _cmd_verify_d1,
+    "audit": _in_cli("_cmd_audit"),
+    "minimality": _in_cli("_cmd_minimality"),
+    "arc-constraints": _in_cli("_cmd_arc_constraints"),
+    "resolve": _cmd_resolve,
+}
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit code."""
+    try:
+        if args.jobs < 1:
+            raise UsageError("--jobs must be >= 1")
+        if args.cap < 0:
+            raise UsageError("--cap must be >= 0")
+        ok, text = _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except CrossingCapExceeded as exc:
+        print(f"refusing to expand: {exc}", file=sys.stderr)
+        return 2
+    print(text)
+    return 0 if ok else 1

@@ -25,20 +25,15 @@ request.
 Reports never claim a sequence IS positive -- they certify violations or
 consistency of these necessary conditions only.  They are plain data:
 ConstraintReport.conclusion_for is the one conclusion rule, and cli.py
-renders every output format.
+renders every format of these reports.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from ._cap import DEFAULT_CROSSING_CAP
 from ._record import Record
 from .laurent import LaurentPoly, ONE, ZERO, q_power
 from .sequences import CHEBYSHEV, POWER, Sequence, product_in_basis, to_basis
-
-if TYPE_CHECKING:
-    from .skein import SkeinVector
 
 CONSISTENT = "consistent"
 CONTRADICTION = "contradiction"
@@ -164,18 +159,6 @@ def minimality_constraints(seq: Sequence, n: int) -> ConstraintReport:
     )
 
 
-def grid_identity(k: int, n: int, cap: int) -> tuple[SkeinVector, SkeinVector]:
-    """Both sides of x^k y_n = q^(-kn) z_(k,n) modulo the grid ideal: the
-    quotient of the k-by-n grid, and the weighted all-negative state.
-    The resolver loads here, so the reports that never call this skip it."""
-    from .diagram import build_xk_yn, build_zkn
-    from .skein import grid_ideal, normal_form, resolve_all_mod
-
-    lhs = resolve_all_mod(build_xk_yn(k, n), grid_ideal(n), cap=cap)
-    rhs = normal_form(build_zkn(k, n)).scaled(q_power(-k * n))
-    return lhs, rhs
-
-
 def q_constraints(
     seq: Sequence,
     n: int,
@@ -204,6 +187,8 @@ def q_constraints(
         Constraint(f"c_{k}", c[k], c[k].is_positive()) for k in range(0, k_max + 1)
     ]
     if diagram_check:
+        from .skein import grid_identity  # the resolver loads only here
+
         for k in range(1, k_max + 1):
             got, want = grid_identity(k, n, cap)
             constraints.append(

@@ -34,7 +34,7 @@ contains a chord between the generator's endpoint pair.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ._cap import (  # CrossingCapExceeded is re-exported
     DEFAULT_CROSSING_CAP,
@@ -49,10 +49,14 @@ from .diagram import (
     MarkedAnnulus,
     Surface,
     build_theta_over_cores,
+    build_xk_yn,
+    build_zkn,
     surface_points,
 )
 from .laurent import LaurentPoly, ONE, q_power
-from .sequences import UniPoly
+
+if TYPE_CHECKING:
+    from .sequences import UniPoly
 
 # Scalar of a nullisotopic loop.
 LOOP_VALUE = LaurentPoly({2: -1, -2: -1})
@@ -460,6 +464,14 @@ def resolve_all_mod(
     generator chord are discarded."""
     ideal.validate_on(d.surface)
     return _resolve(d, ideal, cap)
+
+
+def grid_identity(k: int, n: int, cap: int) -> tuple[SkeinVector, SkeinVector]:
+    """Both sides of x^k y_n = q^(-kn) z_(k,n) modulo the grid ideal: the
+    quotient of the k-by-n grid, and the weighted all-negative state."""
+    lhs = resolve_all_mod(build_xk_yn(k, n), grid_ideal(n), cap=cap)
+    rhs = normal_form(build_zkn(k, n)).scaled(q_power(-k * n))
+    return lhs, rhs
 
 
 # -- the transport operator ------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import skeincalc
-from skeincalc import cli, diagram
+from skeincalc import _run, cli, diagram
 from skeincalc.cli import main
 
 SPAN = cli.MAX_SEQUENCE_SPAN
@@ -315,6 +315,24 @@ class TestReports:
         assert err.startswith("error:") and "index 2" in err
 
     @pytest.mark.parametrize(
+        "argv, index",
+        [
+            (["minimality", "--n", "3"], 3),
+            (["audit", "--max-n", "2"], 2),
+            (["arc-constraints", "--n", "2"], 2),
+        ],
+        ids=["minimality", "audit", "arc-constraints"],
+    )
+    def test_missing_entry_is_a_usage_error(self, capsys, tmp_path, argv, index):
+        # The library raises MissingEntry deep in a report; every report
+        # command maps it to exit 2 with the library's message.
+        seq = tmp_path / "short.json"
+        seq.write_text(json.dumps([[1], [0, 1]]))
+        code, out, err = run_cli(capsys, *argv, "--seq", str(seq))
+        assert (code, out) == (2, "")
+        assert err == f"error: custom sequence has no entry for index {index}\n"
+
+    @pytest.mark.parametrize(
         "polys",
         [
             {" 1": [0, 1], "1": [5, 1]},
@@ -398,6 +416,13 @@ class TestResolve:
         with pytest.raises(TypeError, match="no renderer for dict"):
             cli.emit_report({}, "json")
 
+    def test_one_renderer_for_every_report(self):
+        # The traced render span wraps cli.emit_report, and with it the
+        # runner's binding: both names hold one function.
+        assert cli.emit_report is _run.emit_report
+        with pytest.raises(TypeError, match="^no renderer for object$"):
+            _run.emit_report(object(), "text")
+
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "resolve", "theta:1", "--format", "json")
         assert code == 0
@@ -480,7 +505,25 @@ def loaded_by_command(*argv: str) -> list[str]:
     )
 
 
+def run_entry(argv: list[str]) -> tuple[int, list[str]]:
+    """Run the package as __main__, as python -m skeincalc runs it, in a
+    fresh interpreter: its exit code and the skeincalc submodules loaded."""
+    probe = (
+        "import contextlib, io, runpy, sys\n"
+        f"sys.argv = ['skeincalc', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('skeincalc', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print((code, sorted(m for m in sys.modules if m.startswith('skeincalc.'))))"
+    )
+    return ast.literal_eval(run_python(probe))
+
+
 RESOLVER = {"skeincalc.diagram", "skeincalc.skein"}
+RUNNER = {"skeincalc._cap", "skeincalc._parser", "skeincalc._record", "skeincalc._run"}
 
 
 class TestStartup:
@@ -514,20 +557,35 @@ class TestStartup:
     def test_entry_exits_before_the_library(self, argv, code):
         # The package run as __main__, as python -m skeincalc runs it: help
         # and usage errors end in the parser, before cli or the library loads.
-        probe = (
-            "import contextlib, io, runpy, sys\n"
-            f"sys.argv = ['skeincalc', *{argv!r}]\n"
-            "with contextlib.redirect_stdout(io.StringIO()), "
-            "contextlib.redirect_stderr(io.StringIO()):\n"
-            "    try:\n"
-            "        runpy.run_module('skeincalc', run_name='__main__')\n"
-            "    except SystemExit as exc:\n"
-            "        code = exc.code\n"
-            "print((code, sorted(m for m in sys.modules if m.startswith('skeincalc.'))))"
-        )
-        exited, loaded = ast.literal_eval(run_python(probe))
+        exited, loaded = run_entry(argv)
         assert exited == code
         assert loaded == ["skeincalc._cap", "skeincalc._parser"]
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            (["resolve", "xkyn:2,2", "--ideal", "grid"], []),
+            (["verify-d1"], []),
+            (["verify-zkn", "--k", "1", "--n", "1"], []),
+            (["verify-theta", "--n", "2"], ["skeincalc.sequences"]),
+        ],
+        ids=["resolve", "verify-d1", "verify-zkn", "verify-theta"],
+    )
+    def test_resolver_commands_skip_the_report_stack(self, argv, extra):
+        # cli, positivity and sequences serve the report commands; the
+        # runner and the resolver alone answer these (verify-theta reads
+        # chebyshev from sequences).
+        exited, loaded = run_entry(argv)
+        assert exited == 0
+        assert loaded == sorted(RUNNER | RESOLVER | {"skeincalc.laurent", *extra})
+
+    def test_picking_a_renderer_loads_no_library_module(self):
+        loaded = loaded_after(
+            "import contextlib, skeincalc._run\n"
+            "with contextlib.suppress(TypeError):\n"
+            "    skeincalc._run.emit_report(object(), 'text')"
+        )
+        assert set(loaded) == RUNNER - {"skeincalc._parser"}
 
     @pytest.mark.parametrize(
         "argv",
