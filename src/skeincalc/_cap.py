@@ -1,8 +1,9 @@
-"""The crossing cap: the one rule that refuses a diagram too large to expand.
+"""The two library refusals the runner maps to exit 2: the crossing cap
+and a custom sequence's missing entry.
 
-It lives apart from skein.py so that the command line can print the
-default in --help, and refuse a spec before building it, without loading
-the resolver.  skein.py re-exports all three names.
+They live apart from skein.py and sequences.py, which re-export them, so
+that the command line can print the default cap in --help, refuse a spec
+before building it, and catch both refusals without loading the library.
 """
 
 DEFAULT_CROSSING_CAP = 24
@@ -10,6 +11,10 @@ DEFAULT_CROSSING_CAP = 24
 
 class CrossingCapExceeded(ValueError):
     """The diagram has more crossings than the configured expansion cap."""
+
+
+class MissingEntry(ValueError):
+    """A custom sequence was asked for an index it does not define."""
 
 
 def refuse_over_cap(what: str, crossings: int, cap: int) -> None:

@@ -1,7 +1,9 @@
 """The runner: one parsed command in, one exit code out.
 
-run holds the one command table and the one exit-code mapping, and
-emit_report the one renderer entry for every report type.  The
+run holds the one command table and the one exit-code mapping: every
+command returns (ok, report), and run renders the report through
+emit_report, the one renderer entry for every report type, or maps a
+refusal (UsageError, MissingEntry, CrossingCapExceeded) to exit 2.  The
 commands that resolve a diagram (verify-theta, verify-zkn, verify-d1 and
 resolve) live here with the identity and vector renderers, so they load
 only the resolver (diagram.py, skein.py and laurent.py), and verify-theta
@@ -11,7 +13,7 @@ which load only when one of them runs.
 
 Exit codes are a stable contract: 0 all checks pass, 1 a verification or
 constraint failed, 2 usage error (bad bounds, a size over its limit, bad
-sequence file, crossing cap exceeded), raised before any work.  Output is
+sequence file or a missing entry, crossing cap exceeded).  Output is
 deterministic: basis elements in canonical order, exponents ascending,
 byte-identical across runs and for every --jobs value.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 import sys
 from typing import TYPE_CHECKING
 
-from ._cap import CrossingCapExceeded, refuse_over_cap
+from ._cap import CrossingCapExceeded, MissingEntry, refuse_over_cap
 from ._record import Record
 
 if TYPE_CHECKING:
@@ -161,7 +163,7 @@ def _emit_identity(report: IdentityReport, fmt: str, q1: bool) -> str:
 # -- commands ------------------------------------------------------------------
 
 
-def _cmd_verify_theta(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_verify_theta(args: argparse.Namespace) -> tuple[bool, IdentityReport]:
     if args.n < 1:
         raise UsageError("verify-theta needs --n >= 1")
     refuse_over_cap(f"theta:{args.n}", args.n, args.cap)
@@ -180,10 +182,10 @@ def _cmd_verify_theta(args: argparse.Namespace) -> tuple[bool, str]:
         ),
         cases=tuple(cases),
     )
-    return report.ok(), emit_report(report, args.fmt, args.q1)
+    return report.ok(), report
 
 
-def _cmd_verify_zkn(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_verify_zkn(args: argparse.Namespace) -> tuple[bool, IdentityReport]:
     k, n = args.k, args.n
     if not 1 <= k <= n:
         raise UsageError("verify-zkn needs 1 <= --k <= --n")
@@ -199,10 +201,10 @@ def _cmd_verify_zkn(args: argparse.Namespace) -> tuple[bool, str]:
         ),
         cases=(CaseResult(f"k={k},n={n}", lhs, rhs),),
     )
-    return report.ok(), emit_report(report, args.fmt, args.q1)
+    return report.ok(), report
 
 
-def _cmd_verify_d1(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_verify_d1(args: argparse.Namespace) -> tuple[bool, IdentityReport]:
     from .diagram import build_d1_xy
     from .skein import SkeinVector, full_boundary_ideal, resolve_all_mod
 
@@ -213,7 +215,7 @@ def _cmd_verify_d1(args: argparse.Namespace) -> tuple[bool, str]:
         statement="x·y vanishes modulo the ideal of all four boundary arcs",
         cases=(CaseResult("xy mod boundary", lhs, SkeinVector.zero()),),
     )
-    return report.ok(), emit_report(report, args.fmt, args.q1)
+    return report.ok(), report
 
 
 # core:K has no crossings, so no cap bounds it, yet it builds K loops
@@ -261,7 +263,7 @@ def _parse_diagram(spec: str, cap: int) -> Diagram:
     )
 
 
-def _cmd_resolve(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_resolve(args: argparse.Namespace) -> tuple[bool, SkeinVector]:
     if not args.diagram:
         raise UsageError("resolve needs a diagram spec")
     d = _parse_diagram(args.diagram, args.cap)
@@ -279,14 +281,14 @@ def _cmd_resolve(args: argparse.Namespace) -> tuple[bool, str]:
             else grid_ideal((len(d.surface.points) - 2) // 2)
         )
         vec = resolve_all_mod(d, ideal, cap=args.cap)
-    return True, emit_report(vec, args.fmt, args.q1)
+    return True, vec
 
 
 def _in_cli(name: str):
     """A report command, run from cli.py, which loads positivity.py and
     sequences.py: only these commands import it."""
 
-    def command(args: argparse.Namespace) -> tuple[bool, str]:
+    def command(args: argparse.Namespace) -> tuple[bool, object]:
         from . import cli
 
         return getattr(cli, name)(args)
@@ -312,12 +314,12 @@ def run(args: argparse.Namespace) -> int:
             raise UsageError("--jobs must be >= 1")
         if args.cap < 0:
             raise UsageError("--cap must be >= 0")
-        ok, text = _COMMANDS[args.command](args)
-    except UsageError as exc:
+        ok, report = _COMMANDS[args.command](args)
+    except (UsageError, MissingEntry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrossingCapExceeded as exc:
         print(f"refusing to expand: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    print(emit_report(report, args.fmt, args.q1))
     return 0 if ok else 1

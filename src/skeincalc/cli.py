@@ -5,16 +5,15 @@ renderers.
 The library returns report data; every text, tsv and JSON rendering of a
 constraint or audit report lives here, and the runner (_run.py) holds the
 identity and vector renderers.  Commands read the argparse namespace,
-which holds the only defaults.  A custom sequence that lacks an entry a
-report needs is a usage error (exit 2), as a bad bound is.
+which holds the only defaults, and return (ok, report) to the runner,
+which renders the report and maps every refusal to an exit code.
 
-The parser and the entry live in _parser.py, and the command table, the
-exit codes, emit_report and the commands that resolve a diagram in
-_run.py; their public names are re-exported here.  The runner imports
-this module only to run a report command or render a report of one, so
-verify-*, resolve, --help and usage errors never compile it.  positivity.py and sequences.py load at
-the top, not inside the commands, because the traced benchmark binds
-its spans through sys.modules right after importing this module.  Only
+The runner imports this module only to run a report command or render a
+report of one, so verify-*, resolve, --help and usage errors never
+compile it.  main and emit_report stay importable from here, where the
+benchmark reads them.  positivity.py and sequences.py load at the top,
+not inside the commands, because the traced benchmark binds its spans
+through sys.modules right after importing this module.  Only
 arc-constraints --diagram-check loads diagram.py and skein.py.
 """
 
@@ -24,28 +23,23 @@ import re
 from typing import TYPE_CHECKING
 
 from ._cap import refuse_over_cap
-from ._parser import build_parser, main  # noqa: F401  (re-exported)
-from ._run import (  # noqa: F401  (_COMMANDS, MAX_CORE_LOOPS, run, vector_json re-exported)
-    _COMMANDS,
-    MAX_CORE_LOOPS,
+from ._parser import main  # noqa: F401  (re-exported)
+from ._run import (  # noqa: F401  (emit_report re-exported)
     UsageError,
     _coeff_repr,
     _coeff_text,
     _json_document,
     emit_report,
-    run,
-    vector_json,
 )
 from .laurent import LaurentPoly
 from .positivity import (
-    CONSISTENT,
     AuditReport,
     ConstraintReport,
     minimality_constraints,
     q_constraints,
     structure_constant_audit,
 )
-from .sequences import CHEBYSHEV, POWER, MissingEntry, Sequence, UniPoly
+from .sequences import CHEBYSHEV, POWER, Sequence, UniPoly
 
 if TYPE_CHECKING:
     import argparse
@@ -211,36 +205,19 @@ def _emit_audit(report: AuditReport, fmt: str, q1: bool) -> str:
 # -- commands ------------------------------------------------------------------
 
 
-def _reads_sequence(command):
-    """A report command, with MissingEntry mapped to a UsageError of the
-    same message: a sequence file that lacks an index exits 2."""
-
-    def checked(args: argparse.Namespace) -> tuple[bool, str]:
-        try:
-            return command(args)
-        except MissingEntry as exc:
-            raise UsageError(str(exc)) from exc
-
-    return checked
-
-
-@_reads_sequence
-def _cmd_audit(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_audit(args: argparse.Namespace) -> tuple[bool, AuditReport]:
     _check_size("audit", "--max-n", args.max_n, MAX_AUDIT_N)
     report = structure_constant_audit(load_sequence(args.seq), args.max_n)
-    return report.ok(args.q1), emit_report(report, args.fmt, args.q1)
+    return report.ok(args.q1), report
 
 
-@_reads_sequence
-def _cmd_minimality(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_minimality(args: argparse.Namespace) -> tuple[bool, ConstraintReport]:
     _check_size("minimality", "--n", args.n, MAX_MINIMALITY_N)
     report = minimality_constraints(load_sequence(args.seq), args.n)
-    ok = report.conclusion_for(args.q1) == CONSISTENT
-    return ok, emit_report(report, args.fmt, args.q1)
+    return report.ok(args.q1), report
 
 
-@_reads_sequence
-def _cmd_arc_constraints(args: argparse.Namespace) -> tuple[bool, str]:
+def _cmd_arc_constraints(args: argparse.Namespace) -> tuple[bool, ConstraintReport]:
     n, k_max = args.n, args.k_max
     _check_size("arc-constraints", "--n", n, MAX_ARC_N)
     if k_max is not None and k_max < 1:
@@ -252,8 +229,7 @@ def _cmd_arc_constraints(args: argparse.Namespace) -> tuple[bool, str]:
     report = q_constraints(
         load_sequence(args.seq), n, k_max, diagram_check=args.diagram_check, cap=args.cap
     )
-    ok = report.conclusion_for(args.q1) == CONSISTENT
-    return ok, emit_report(report, args.fmt, args.q1)
+    return report.ok(args.q1), report
 
 
 def _check_size(command: str, flag: str, value: int, limit: int) -> None:

@@ -107,14 +107,7 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in o._terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return LaurentPoly._adopt(out)
+        return self + -o
 
     def __rsub__(self, other) -> "LaurentPoly":
         o = self._coerce(other)

@@ -134,6 +134,9 @@ class ConstraintReport(Record):
             return FORCES_A_ZERO
         return CONSISTENT
 
+    def ok(self, q1: bool = False) -> bool:
+        return self.conclusion_for(q1) == CONSISTENT
+
 
 def minimality_constraints(seq: Sequence, n: int) -> ConstraintReport:
     """The full set of positivity requirements the loop expansion imposes

@@ -24,6 +24,7 @@ from functools import lru_cache
 from operator import index
 from typing import Callable, Collection, Iterable, Mapping
 
+from ._cap import MissingEntry
 from .laurent import LaurentPoly, ONE, ZERO
 
 
@@ -240,10 +241,6 @@ def _chebyshev(n: int) -> UniPoly:
 def power(n: int) -> UniPoly:
     """The monomial t^n."""
     return POWER[n]
-
-
-class MissingEntry(ValueError):
-    """A custom sequence was asked for an index it does not define."""
 
 
 class Sequence:

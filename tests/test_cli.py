@@ -79,9 +79,9 @@ class TestExitCodes:
             raise AssertionError("a core stack over the limit was built")
 
         monkeypatch.setattr(diagram, "build_core_stack", refuse)
-        code, _, err = run_cli(capsys, "resolve", f"core:{cli.MAX_CORE_LOOPS + 1}")
+        code, _, err = run_cli(capsys, "resolve", f"core:{_run.MAX_CORE_LOOPS + 1}")
         assert code == 2
-        assert f"K <= {cli.MAX_CORE_LOOPS}" in err
+        assert f"K <= {_run.MAX_CORE_LOOPS}" in err
 
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_k_max_below_one_is_two(self, capsys, k_max):
@@ -591,7 +591,7 @@ class TestStartup:
         "argv",
         [
             pytest.param(["--help"], id="help"),
-            *(pytest.param([c, "--help"], id=f"{c}-help") for c in cli._COMMANDS),
+            *(pytest.param([c, "--help"], id=f"{c}-help") for c in _run._COMMANDS),
             pytest.param(["audit"], id="missing-flag"),
             pytest.param(["audit", "--max-n", "3", "--format", "xml"], id="bad-format"),
         ],

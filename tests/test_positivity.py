@@ -251,6 +251,8 @@ class TestReportShape:
             report = REPORTS[name]()
             assert report.conclusion == CONTRADICTION, name
             assert report.conclusion_for(q1=True) == CONSISTENT, name
+            assert not report.ok(), name
+            assert report.ok(q1=True), name
 
     def test_symbol_order_positive_first(self):
         report = minimality_constraints(CHEBYSHEV, 2)

@@ -5,9 +5,10 @@ import pickle
 
 import pytest
 
-from skeincalc.diagram import Annulus, Crossing, Diagram, Edge
-from skeincalc.laurent import ONE
+from skeincalc.diagram import Annulus, Crossing, Diagram, Disk, Edge
+from skeincalc.laurent import ONE, LaurentPoly, q_power
 from skeincalc.positivity import Constraint
+from skeincalc.sequences import UniPoly
 from skeincalc.skein import AioArc, AnnulusPower, SkeinVector
 
 A = ("B", "p1", 0)
@@ -59,7 +60,19 @@ class TestRecord:
         assert repr(AioArc(-2)) == "AioArc(n=-2)"
         assert repr(Annulus()) == "Annulus()"
 
-    def test_pickle_and_copy_round_trip(self):
-        d = Diagram(Annulus(), (Crossing("x", (0, 2)),), frozenset({Edge(A, B, 1)}))
-        assert pickle.loads(pickle.dumps(d)) == d
-        assert copy.deepcopy(d) == d and copy.copy(d) == d
+    # __setattr__ raises on every immutable type, so copy goes through
+    # __reduce__ as pickle does.
+    @pytest.mark.parametrize(
+        "value",
+        [
+            Diagram(Annulus(), (Crossing("x", (0, 2)),), frozenset({Edge(A, B, 1)})),
+            LaurentPoly({-1: 2, 3: -1}),
+            SkeinVector({AioArc(2): ONE, AnnulusPower(1): q_power(-1)}),
+            UniPoly([q_power(1), 0, 1]),
+            Disk(("p0", "p1", "p2")),
+        ],
+        ids=["diagram", "laurent", "vector", "unipoly", "disk"],
+    )
+    def test_pickle_and_copy_round_trip(self, value):
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value and copy.copy(value) == value

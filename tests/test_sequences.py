@@ -197,6 +197,9 @@ class TestCustomSequence:
         seq = Sequence.custom({1: UniPoly([0, 1])})
         with pytest.raises(MissingEntry):
             seq[3]
+        # A ValueError too, so callers that refuse bad values catch it.
+        with pytest.raises(ValueError, match="no entry for index 3"):
+            seq[3]
 
 
 def test_sequence_is_the_one_sequence_type():

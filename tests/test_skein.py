@@ -28,7 +28,7 @@ from skeincalc.diagram import (
     make_edge,
 )
 from skeincalc import skein
-from skeincalc.cli import vector_json
+from skeincalc._run import vector_json
 from skeincalc.laurent import LaurentPoly, ONE, q_power
 from skeincalc.sequences import UniPoly, chebyshev, power
 from skeincalc.skein import (
