@@ -225,9 +225,10 @@ MAX_CORE_LOOPS = 100_000
 
 def _parse_diagram(spec: str, cap: int) -> Diagram:
     """Build the diagram a spec names, first refusing a spec whose
-    crossings exceed the cap: theta:K has K, and xkyn:K,N and zkn:K,N
-    have K*N (zkn resolves them while it is built).  core:K is refused
-    above MAX_CORE_LOOPS."""
+    crossings exceed the cap: theta:K has K, and xkyn:K,N has K*N.
+    zkn:K,N is built crossingless, yet it counts the K*N crossings of
+    the grid it is a state of, so one spec refuses the same sizes for
+    both.  core:K is refused above MAX_CORE_LOOPS."""
     from . import diagram
 
     name, _, args = spec.partition(":")

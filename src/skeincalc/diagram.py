@@ -18,8 +18,10 @@ Conventions, fixed once and used by every builder:
   smoothing of an arc crossing over a core loop come out as the arc of
   winding +1.
 
-Diagrams are immutable; resolve_crossings returns a fresh value, so
-fan-out over resolution choices can share structure freely.
+Diagrams are immutable values.  This module builds and validates them
+but traces no component: build_zkn writes its crossingless staircase
+down directly, and the frontier resolver in skein.py is the package's
+one component tracer.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class Annulus(Record):
     """An annulus with no marked points and one seam."""
 
     __slots__ = ()
+    points = ()
 
 
 class MarkedAnnulus(Record):
@@ -50,23 +53,10 @@ class MarkedAnnulus(Record):
     """
 
     __slots__ = ()
+    points = ("p1", "p2")
 
 
 Surface = Disk | Annulus | MarkedAnnulus
-
-MARKED_ANNULUS_POINTS = ("p1", "p2")
-
-
-def surface_points(surface: Surface) -> tuple[str, ...]:
-    if isinstance(surface, Disk):
-        return surface.points
-    if isinstance(surface, MarkedAnnulus):
-        return MARKED_ANNULUS_POINTS
-    return ()
-
-
-def has_seam(surface: Surface) -> bool:
-    return isinstance(surface, (Annulus, MarkedAnnulus))
 
 
 class Crossing(Record):
@@ -147,7 +137,7 @@ class Diagram(Record):
         if len(set(ids)) != len(ids):
             raise ValueError("crossing ids must be distinct")
         node = {("X", cid, k): 4 * ci + k for ci, cid in enumerate(ids) for k in range(4)}
-        pts = surface_points(self.surface)
+        pts = self.surface.points
         slots: list[tuple[str, int]] = []
         named = set()
         for p, n in self.slots:
@@ -159,7 +149,7 @@ class Diagram(Record):
             for s in range(n):
                 node["B", p, s] = len(node)
                 slots.append((p, s))
-        if not has_seam(self.surface):
+        if isinstance(self.surface, Disk):
             if any(e.seam for e in self.edges):
                 raise ValueError("seam counts must vanish on a disk")
             if any(self.loops):
@@ -270,18 +260,31 @@ def build_xk_yn(k: int, n: int) -> Diagram:
             edges.append(make_edge(prev, ("X", cid[l, m], 1), 0))
             prev = ("X", cid[l, m], 3)
         edges.append(make_edge(prev, ("B", f"q{m}", 0), 0))
+    return _diagram(disk_surface(n), crossings, edges, slots=_grid_slots(k, n))
+
+
+def _grid_slots(k: int, n: int) -> list[tuple[str, int]]:
+    """The slot list of the k-by-n grid: k ends at p0 and p{n+1}, one elsewhere."""
     slots = [("p0", k)] + [(f"p{i}", 1) for i in range(1, n + 1)] + [(f"p{n + 1}", k)]
-    slots += [(f"q{i}", 1) for i in range(n, 0, -1)]
-    return _diagram(disk_surface(n), crossings, edges, slots=slots)
+    return slots + [(f"q{i}", 1) for i in range(n, 0, -1)]
 
 
 def build_zkn(k: int, n: int) -> Diagram:
-    """The crossingless diagram got by negatively resolving every crossing
-    of build_xk_yn(k, n)."""
+    """z_(k,n), the all-negative state of build_xk_yn(k, n), as its staircase.
+
+    Negatively resolving every grid crossing leaves no loop, only n+k
+    chords, so they are written down directly: p0 at height j-1 to q{j}
+    (j = 1..k), p{m} to q{m+k} (m = 1..n-k), and p{n-k+i} to p{n+1} at
+    height i-1 (i = 1..k).
+    """
     if not 1 <= k <= n:
         raise ValueError("requires 1 <= k <= n")
-    d = build_xk_yn(k, n)
-    return resolve_crossings(d, {c.id: -1 for c in d.crossings})
+    edges = [make_edge(("B", "p0", j - 1), ("B", f"q{j}", 0)) for j in range(1, k + 1)]
+    edges += [make_edge(("B", f"p{m}", 0), ("B", f"q{m + k}", 0)) for m in range(1, n - k + 1)]
+    edges += [
+        make_edge(("B", f"p{n - k + i}", 0), ("B", f"p{n + 1}", i - 1)) for i in range(1, k + 1)
+    ]
+    return _diagram(disk_surface(n), (), edges, slots=_grid_slots(k, n))
 
 
 def build_d1_xy() -> Diagram:
@@ -306,54 +309,3 @@ def build_kink(sign: int) -> Diagram:
         make_edge(("X", "k0", 1), ("X", "k0", 2), 0),
     ]
     return _diagram(Disk(), [crossing], edges)
-
-
-# -- crossing resolution -----------------------------------------------------
-
-
-def resolve_crossings(d: Diagram, signs: dict[str, int]) -> Diagram:
-    """Remove the crossings named in signs, in id order, reconnecting the
-    ports of each per the smoothing rule of its sign.
-
-    Seam counts of merged edges add up (with orientation); an edge whose
-    two ends get joined to each other closes into a free loop.  The edge
-    map is built once, so the cost is linear in the diagram's size.
-    """
-    over = {cr.id: cr.over for cr in d.crossings}
-    by_end: dict[Attachment, Edge] = {}
-    for e in d.edges:
-        by_end[e.a] = e
-        by_end[e.b] = e
-    loops = list(d.loops)
-    for cid in sorted(signs):
-        if signs[cid] not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if cid not in over:
-            raise ValueError(f"unknown crossing id {cid!r}")
-        for i, j in smoothing_pairs(over[cid], signs[cid]):
-            ai: Attachment = ("X", cid, i)
-            aj: Attachment = ("X", cid, j)
-            ei = by_end.pop(ai)
-            ej = by_end.pop(aj)
-            if ei is ej:
-                # The edge ran from port i to port j; the smoothing closes it.
-                loops.append(abs(ei.seam))
-                continue
-            if ei.a == ai:
-                far_i, w_i = ei.b, -ei.seam
-            else:
-                far_i, w_i = ei.a, ei.seam
-            if ej.a == aj:
-                far_j, w_j = ej.b, ej.seam
-            else:
-                far_j, w_j = ej.a, -ej.seam
-            merged = make_edge(far_i, far_j, w_i + w_j)
-            by_end[far_i] = merged
-            by_end[far_j] = merged
-    return _diagram(
-        d.surface,
-        [c for c in d.crossings if c.id not in signs],
-        set(by_end.values()),
-        loops=loops,
-        slots=d.slots,
-    )

@@ -51,7 +51,6 @@ from .diagram import (
     build_theta_over_cores,
     build_xk_yn,
     build_zkn,
-    surface_points,
 )
 from .laurent import LaurentPoly, ONE, q_power
 
@@ -422,7 +421,7 @@ def _frontier_resolve(
                     key = (tuple(sorted((a, b, x) for a, (b, x) in ends.items() if a < b)), ess)
                     _accumulate(nxt.setdefault(key, {}), weight, shift, trivial)
         frontier = nxt
-    points = surface_points(d.surface)
+    points = d.surface.points
     order = {p: i for i, p in enumerate(points)}
     acc: dict[BasisElement, dict[int, int]] = {}
     for (paths, essential), weight in frontier.items():
@@ -493,13 +492,14 @@ def theta_bullet(p: UniPoly, *, cap: int = DEFAULT_CROSSING_CAP) -> SkeinVector:
     Linear in p: each power t^k contributes its coefficient times the full
     resolution of the arc over k core loops.
     """
-    out = SkeinVector.zero()
-    for k in range(p.degree + 1):
-        ck = p.coefficient(k)
+    acc: dict[BasisElement, LaurentPoly] = {}
+    for k, ck in enumerate(p.coeffs):
         if ck.is_zero():
             continue
-        out = out + _theta_over_cores(k, cap).scaled(ck)
-    return out
+        for elem, c in _theta_over_cores(k, cap)._terms.items():
+            term = c * ck
+            acc[elem] = acc[elem] + term if elem in acc else term
+    return SkeinVector(acc)
 
 
 def theta_transport_target(n: int) -> SkeinVector:

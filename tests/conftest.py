@@ -1,9 +1,10 @@
 """Shared test helpers: the brute-force oracles the frontier resolver is
 checked against (a 2^c state scan, a single-crossing fold, closed braids
-with known Jones polynomials, open braids across a marked disk),
-single-crossing resolution and a JSON description of diagrams, the
-dict-buffer reference for the packed sequence kernel, and random Laurent
-polynomial generation."""
+with known Jones polynomials, open braids across a marked disk), the
+edge-map crossing resolution the fold and enumerate_states run on (the
+package traces components only in its frontier resolver), a JSON
+description of diagrams, the dict-buffer reference for the packed
+sequence kernel, and random Laurent polynomial generation."""
 
 from __future__ import annotations
 
@@ -23,14 +24,62 @@ from skeincalc import (
     SkeinVector,
     StructureError,
 )
-from skeincalc.diagram import make_edge, resolve_crossings, surface_points
+from skeincalc.diagram import Attachment, Edge, _diagram, make_edge, smoothing_pairs
 from skeincalc.laurent import ZERO, q_power
 from skeincalc.sequences import UniPoly
 from skeincalc.skein import DiskMatching, _reduce_state
 
 
+def resolve_crossings(d: Diagram, signs: dict[str, int]) -> Diagram:
+    """Remove the crossings named in signs, in id order, reconnecting the
+    ports of each per the smoothing rule of its sign.
+
+    Seam counts of merged edges add up (with orientation); an edge whose
+    two ends get joined to each other closes into a free loop.  The edge
+    map is built once, so the cost is linear in the diagram's size.
+    """
+    over = {cr.id: cr.over for cr in d.crossings}
+    by_end: dict[Attachment, Edge] = {}
+    for e in d.edges:
+        by_end[e.a] = e
+        by_end[e.b] = e
+    loops = list(d.loops)
+    for cid in sorted(signs):
+        if signs[cid] not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        if cid not in over:
+            raise ValueError(f"unknown crossing id {cid!r}")
+        for i, j in smoothing_pairs(over[cid], signs[cid]):
+            ai: Attachment = ("X", cid, i)
+            aj: Attachment = ("X", cid, j)
+            ei = by_end.pop(ai)
+            ej = by_end.pop(aj)
+            if ei is ej:
+                # The edge ran from port i to port j; the smoothing closes it.
+                loops.append(abs(ei.seam))
+                continue
+            if ei.a == ai:
+                far_i, w_i = ei.b, -ei.seam
+            else:
+                far_i, w_i = ei.a, ei.seam
+            if ej.a == aj:
+                far_j, w_j = ej.b, ej.seam
+            else:
+                far_j, w_j = ej.a, -ej.seam
+            merged = make_edge(far_i, far_j, w_i + w_j)
+            by_end[far_i] = merged
+            by_end[far_j] = merged
+    return _diagram(
+        d.surface,
+        [c for c in d.crossings if c.id not in signs],
+        set(by_end.values()),
+        loops=loops,
+        slots=d.slots,
+    )
+
+
 def resolve_crossing(d: Diagram, cid: str, sign: int) -> Diagram:
-    """Remove one crossing; see diagram.resolve_crossings."""
+    """Remove one crossing; see resolve_crossings."""
     return resolve_crossings(d, {cid: sign})
 
 
@@ -100,7 +149,7 @@ def scan_resolve(d: Diagram, ideal: IdealSpec | None = None) -> SkeinVector:
     is zero."""
     ports = d.ports()
     c = d.crossing_count
-    points = surface_points(d.surface)
+    points = d.surface.points
     order = {p: i for i, p in enumerate(points)}
     gens = set() if ideal is None else set(ideal.generators)
     acc: dict = {}

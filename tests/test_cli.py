@@ -54,6 +54,22 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "refusing to expand: diagram has 1 crossings; the expansion cap is 0\n"
 
+    @pytest.mark.parametrize(
+        "argv, words",
+        [
+            (["--n", "25"], "theta:25 has 25 crossings; the expansion cap is 24"),
+            (["--n", "5", "--cap", "3"], "theta:5 has 5 crossings; the expansion cap is 3"),
+        ],
+    )
+    def test_verify_theta_refuses_over_cap_before_building(self, capsys, monkeypatch, argv, words):
+        def refuse(*args):
+            raise AssertionError("an arc over the cap was built")
+
+        monkeypatch.setattr(diagram, "build_theta_over_cores", refuse)
+        code, out, err = run_cli(capsys, "verify-theta", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"refusing to expand: {words}\n"
+
     def test_jobs_below_one_is_two(self, capsys):
         code, _, err = run_cli(capsys, "verify-theta", "--n", "1", "--jobs", "0")
         assert code == 2

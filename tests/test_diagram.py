@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import diagram_json, resolve_crossing
+from conftest import diagram_json, resolve_crossing, resolve_crossings
 from skeincalc.diagram import (
     Annulus,
     Crossing,
@@ -18,7 +18,6 @@ from skeincalc.diagram import (
     build_zkn,
     disk_surface,
     make_edge,
-    resolve_crossings,
     smoothing_pairs,
 )
 from skeincalc.skein import AioArc, SkeinVector, normal_form
@@ -153,7 +152,7 @@ class TestResolveCrossing:
         assert normal_form(d) == SkeinVector.single(AioArc(-1))
 
     def test_zkn_equals_negative_fold(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             for k in range(1, n + 1):
                 d = build_xk_yn(k, n)
                 for cid in [c.id for c in d.crossings]:
@@ -197,7 +196,7 @@ def expected_staircase_chords(k: int, n: int):
 
 class TestZknStaircaseOracle:
     def test_matches_closed_form(self):
-        for n in range(1, 5):
+        for n in range(1, 9):
             for k in range(1, n + 1):
                 nf = normal_form(build_zkn(k, n))
                 ((elem, coeff),) = nf.items()
