@@ -1,14 +1,25 @@
 """The command-line parser and the entry point.
 
-This module imports only argparse, sys and _cap, and imports the runner
-(_run.py) only once the arguments parse, so --help, every subcommand's
---help and every argparse usage error (exit 2) end before any library
-module loads.  The runner loads cli.py only for a report command.
+This module imports only argparse, gc, sys and _cap, and imports the
+runner (_run.py) only once the arguments parse, so --help, every
+subcommand's --help and every argparse usage error (exit 2) end before
+any library module loads.  The runner loads cli.py only for a report
+command.
+
+main() with no arguments is the process entry (python -m skeincalc and
+the installed skeincalc script).  On every way out, a report, a refusal,
+--help or a usage error, it freezes the heap (gc.freeze) just before the
+process exits, so the interpreter's final collections skip every object
+still alive instead of walking them.  What that gives up is finalizing
+cyclic garbage left at exit, which CPython does not promise anyway, and
+skeincalc holds no file or other resource by then.  main(argv), the
+in-process call, leaves the collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from ._cap import DEFAULT_CROSSING_CAP
@@ -97,10 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    from ._run import run
+    try:
+        args = build_parser().parse_args(argv)
+        from ._run import run
 
-    code = run(args)
+        code = run(args)
+    finally:
+        if argv is None:
+            gc.freeze()  # the process exits next; see the module docstring
     if argv is None:
         sys.exit(code)
     return code

@@ -20,6 +20,7 @@ byte-identical across runs and for every --jobs value.
 
 from __future__ import annotations
 
+import re
 import sys
 from typing import TYPE_CHECKING
 
@@ -222,6 +223,17 @@ def _cmd_verify_d1(args: argparse.Namespace) -> tuple[bool, IdentityReport]:
 # (about 20 bytes each) before anything is printed.
 MAX_CORE_LOOPS = 100_000
 
+_INDEX = re.compile(r"0|[1-9][0-9]*")
+
+
+def parse_index(text: str) -> int:
+    """The one integer form of a diagram spec and a sequence-file key: a
+    canonical nonnegative decimal, in ASCII digits with no sign, space,
+    underscore or leading zero, so each number has exactly one spelling."""
+    if not _INDEX.fullmatch(text):
+        raise ValueError(f"{text!r} is not a canonical nonnegative decimal index")
+    return int(text)
+
 
 def _parse_diagram(spec: str, cap: int) -> Diagram:
     """Build the diagram a spec names, first refusing a spec whose
@@ -231,25 +243,26 @@ def _parse_diagram(spec: str, cap: int) -> Diagram:
     both.  core:K is refused above MAX_CORE_LOOPS."""
     from . import diagram
 
-    name, _, args = spec.partition(":")
+    name, colon, args = spec.partition(":")
     try:
         if name == "core":
-            k = int(args)
+            k = parse_index(args)
             if k > MAX_CORE_LOOPS:
                 raise UsageError(f"core:K takes K <= {MAX_CORE_LOOPS}, got {k}")
             return diagram.build_core_stack(k)
         if name == "theta":
-            k = int(args)
+            k = parse_index(args)
             refuse_over_cap(spec, k, cap)
             return diagram.build_theta_over_cores(k)
         if name in ("xkyn", "zkn"):
             k_s, _, n_s = args.partition(",")
-            k, n = int(k_s), int(n_s)
-            if k > 0 and n > 0:
-                refuse_over_cap(spec, k * n, cap)
+            k, n = parse_index(k_s), parse_index(n_s)
+            refuse_over_cap(spec, k * n, cap)
             build = diagram.build_xk_yn if name == "xkyn" else diagram.build_zkn
             return build(k, n)
         if name == "d1":
+            if colon:
+                raise ValueError("d1 takes no argument")
             return diagram.build_d1_xy()
         if name == "kink":
             if args not in ("+", "-"):

@@ -19,7 +19,6 @@ arc-constraints --diagram-check loads diagram.py and skein.py.
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING
 
 from ._cap import refuse_over_cap
@@ -30,6 +29,7 @@ from ._run import (  # noqa: F401  (emit_report re-exported)
     _coeff_text,
     _json_document,
     emit_report,
+    parse_index,
 )
 from .laurent import LaurentPoly
 from .positivity import (
@@ -44,8 +44,6 @@ from .sequences import CHEBYSHEV, POWER, Sequence, UniPoly
 if TYPE_CHECKING:
     import argparse
 
-
-_INDEX = re.compile(r"0|[1-9][0-9]*")
 
 _BUILT_IN = {s.name: s for s in (CHEBYSHEV, POWER)}
 
@@ -118,13 +116,7 @@ def load_sequence(spec: str) -> Sequence:
             polys = data.get("polys", {})
             if not isinstance(polys, dict):
                 raise UsageError(f'"polys" in {spec!r} must be an object')
-            for key in polys:
-                if not _INDEX.fullmatch(key):
-                    raise UsageError(
-                        f"polys key {key!r} in {spec!r} is not a canonical "
-                        "nonnegative decimal index"
-                    )
-            return Sequence.custom({int(k): poly(p) for k, p in polys.items()}, base=base)
+            return Sequence.custom({parse_index(k): poly(p) for k, p in polys.items()}, base=base)
     except ValueError as exc:
         raise UsageError(f"invalid sequence in {spec!r}: {exc}") from exc
     raise UsageError(f"sequence file {spec!r} must hold a list or an object")

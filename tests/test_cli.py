@@ -2,6 +2,8 @@
 
 import ast
 import concurrent.futures
+import contextlib
+import gc
 import json
 import multiprocessing.process
 import os
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import skeincalc
-from skeincalc import _run, cli, diagram
+from skeincalc import _parser, _run, cli, diagram
 from skeincalc.cli import main
 
 SPAN = cli.MAX_SEQUENCE_SPAN
@@ -75,9 +77,23 @@ class TestExitCodes:
         assert code == 2
         assert "--jobs must be >= 1" in err
 
-    def test_unknown_diagram_is_two(self, capsys):
-        code, _, err = run_cli(capsys, "resolve", "torus:1")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "spec, words",
+        [
+            ("torus:1", "unknown diagram"),
+            ("d1:foo", "bad diagram spec"),
+            ("theta:1_0", "bad diagram spec"),
+            ("core:\u0663", "bad diagram spec"),  # an Arabic-Indic digit three
+            ("theta:+2", "bad diagram spec"),
+            ("core:00", "bad diagram spec"),
+            ("xkyn: 2, 2", "bad diagram spec"),
+        ],
+        ids=["unknown", "d1-argument", "underscore", "arabic-indic", "plus", "zero-pad", "spaces"],
+    )
+    def test_unknown_diagram_is_two(self, capsys, spec, words):
+        code, out, err = run_cli(capsys, "resolve", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {words} ")
 
     @pytest.mark.parametrize("spec", ["theta:200000", "xkyn:300,300", "zkn:5,5"])
     def test_resolve_refuses_over_cap_before_building(self, capsys, monkeypatch, spec):
@@ -521,11 +537,12 @@ def loaded_by_command(*argv: str) -> list[str]:
     )
 
 
-def run_entry(argv: list[str]) -> tuple[int, list[str]]:
+def run_entry(argv: list[str]) -> tuple[int, list[str], int]:
     """Run the package as __main__, as python -m skeincalc runs it, in a
-    fresh interpreter: its exit code and the skeincalc submodules loaded."""
+    fresh interpreter: its exit code, the skeincalc submodules loaded and
+    the number of objects frozen out of the collector's reach."""
     probe = (
-        "import contextlib, io, runpy, sys\n"
+        "import contextlib, gc, io, runpy, sys\n"
         f"sys.argv = ['skeincalc', *{argv!r}]\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
@@ -533,7 +550,8 @@ def run_entry(argv: list[str]) -> tuple[int, list[str]]:
         "        runpy.run_module('skeincalc', run_name='__main__')\n"
         "    except SystemExit as exc:\n"
         "        code = exc.code\n"
-        "print((code, sorted(m for m in sys.modules if m.startswith('skeincalc.'))))"
+        "print((code, sorted(m for m in sys.modules if m.startswith('skeincalc.')), "
+        "gc.get_freeze_count()))"
     )
     return ast.literal_eval(run_python(probe))
 
@@ -573,7 +591,7 @@ class TestStartup:
     def test_entry_exits_before_the_library(self, argv, code):
         # The package run as __main__, as python -m skeincalc runs it: help
         # and usage errors end in the parser, before cli or the library loads.
-        exited, loaded = run_entry(argv)
+        exited, loaded, _ = run_entry(argv)
         assert exited == code
         assert loaded == ["skeincalc._cap", "skeincalc._parser"]
 
@@ -591,9 +609,39 @@ class TestStartup:
         # cli, positivity and sequences serve the report commands; the
         # runner and the resolver alone answer these (verify-theta reads
         # chebyshev from sequences).
-        exited, loaded = run_entry(argv)
+        exited, loaded, _ = run_entry(argv)
         assert exited == 0
         assert loaded == sorted(RUNNER | RESOLVER | {"skeincalc.laurent", *extra})
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify-d1"], 0),
+            (["arc-constraints", "--seq", "chebyshev", "--n", "30"], 1),
+            (["verify-zkn", "--k", "4", "--n", "4", "--cap", "10"], 2),
+            (["audit"], 2),
+            (["--help"], 0),
+        ],
+        ids=["pass", "fail", "refusal", "usage-error", "help"],
+    )
+    def test_process_entry_freezes_the_heap_on_every_exit(self, argv, code):
+        # The interpreter's final collections would walk every live object;
+        # frozen objects are skipped, whichever way the command leaves.
+        exited, _, frozen = run_entry(argv)
+        assert exited == code
+        assert frozen > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify-d1"], ["audit", "--max-n", "3"], ["audit"], ["--help"]],
+        ids=["verify-d1", "audit", "usage-error", "help"],
+    )
+    def test_in_process_main_leaves_the_collector_alone(self, argv, capsys):
+        before = gc.get_freeze_count()
+        with contextlib.suppress(SystemExit):
+            _parser.main(argv)
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before
 
     def test_picking_a_renderer_loads_no_library_module(self):
         loaded = loaded_after(
