@@ -15,7 +15,9 @@ Exit codes are a stable contract: 0 all checks pass, 1 a verification or
 constraint failed, 2 usage error (bad bounds, a size over its limit, bad
 sequence file or a missing entry, crossing cap exceeded).  Output is
 deterministic: basis elements in canonical order, exponents ascending,
-byte-identical across runs and for every --jobs value.
+byte-identical across runs.  --jobs changes nothing: it is accepted for
+compatibility and checked to be >= 1, and no command reads it further or
+starts a process.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ def _cmd_resolve(args: argparse.Namespace) -> tuple[bool, SkeinVector]:
     if not args.diagram:
         raise UsageError("resolve needs a diagram spec")
     d = _parse_diagram(args.diagram, args.cap)
-    from .diagram import Disk
+    from .diagram import Disk, disk_surface
     from .skein import full_boundary_ideal, grid_ideal, resolve_all, resolve_all_mod
 
     if args.ideal == "none":
@@ -289,11 +291,13 @@ def _cmd_resolve(args: argparse.Namespace) -> tuple[bool, SkeinVector]:
     else:
         if not isinstance(d.surface, Disk):
             raise UsageError("ideals only apply to disk diagrams")
-        ideal = (
-            full_boundary_ideal(d.surface)
-            if args.ideal == "boundary"
-            else grid_ideal((len(d.surface.points) - 2) // 2)
-        )
+        n = (len(d.surface.points) - 2) // 2
+        if args.ideal == "boundary":
+            ideal = full_boundary_ideal(d.surface)
+        elif n >= 1 and d.surface == disk_surface(n):
+            ideal = grid_ideal(n)
+        else:
+            raise UsageError("--ideal grid needs a grid disk, p0..p{n+1}, q{n}..q1 with n >= 1")
         vec = resolve_all_mod(d, ideal, cap=args.cap)
     return True, vec
 

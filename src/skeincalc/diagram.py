@@ -17,6 +17,10 @@ Conventions, fixed once and used by every builder:
   the outer one.  With the port rule above this makes the positive
   smoothing of an arc crossing over a core loop come out as the arc of
   winding +1.
+* The ends at one marked point are stacked: an end ("B", point, h) is
+  the h-th from the bottom, and the heights at a point with m ends are
+  0..m-1.  The edges are the only record of them; Diagram.ports()
+  counts each point's ends and numbers its slots from there.
 
 Diagrams are immutable values.  This module builds and validates them
 but traces no component: build_zkn writes its crossingless staircase
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from ._record import Record
 
-# An attachment point is ("X", crossing_id, port) or ("B", point, slot).
+# An attachment point is ("X", crossing_id, port) or ("B", point, height).
 Attachment = tuple
 
 
@@ -98,24 +102,17 @@ class Diagram(Record):
 
     crossings are kept sorted by id; loops is the sorted multiset of
     windings of crossing-free closed components (stored nonnegative, a
-    free loop being unoriented); slots gives, per marked point, the number
-    of incident edge ends -- slot index is height, 0 = bottom.
+    free loop being unoriented).  The edges alone record the ends at each
+    marked point and their heights.
     """
 
-    # Surface, tuple[Crossing, ...], frozenset[Edge], tuple[int, ...],
-    # tuple[tuple[str, int], ...]
-    __slots__ = ("surface", "crossings", "edges", "loops", "slots")
-    _defaults = {"crossings": (), "edges": frozenset(), "loops": (), "slots": ()}
+    # Surface, tuple[Crossing, ...], frozenset[Edge], tuple[int, ...]
+    __slots__ = ("surface", "crossings", "edges", "loops")
+    _defaults = {"crossings": (), "edges": frozenset(), "loops": ()}
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-    def slot_count(self, point: str) -> int:
-        for p, n in self.slots:
-            if p == point:
-                return n
-        return 0
 
     def validate(self) -> None:
         """Check the diagram, raising the ValueError ports() raises."""
@@ -125,36 +122,37 @@ class Diagram(Record):
         """Validate the diagram and compile it to the flat port arrays resolvers walk.
 
         Nodes are crossing ports (4*ci + port, ci the crossing's index)
-        followed by boundary slots.  Returns (to, w, pos, neg, slots):
+        followed by boundary slots, numbered in surface.points order and
+        by height within a point, so slot node numbers increase with
+        (point index, height).  Returns (to, w, pos, neg, slots):
         to[v] is the node at the other end of v's edge and w[v] the seam
         count from v to it; pos[v] and neg[v] are a port's partner in the
         positive and negative smoothing; slots[v - 4c] is the (point,
-        slot) of a slot node.  Raises ValueError unless crossing ids are
-        distinct and sorted, every port and endpoint is one edge end, and
-        a disk carries no seam counts or winding loops.
+        height) of a slot node.  Raises ValueError unless crossing ids are
+        distinct and sorted, every edge end at a marked point names a
+        point of the surface, every port and every height 0..m-1 of a
+        point with m ends is one edge end, and a disk carries no seam
+        counts or winding loops.
         """
         ids = [cr.id for cr in self.crossings]
         if len(set(ids)) != len(ids):
             raise ValueError("crossing ids must be distinct")
         node = {("X", cid, k): 4 * ci + k for ci, cid in enumerate(ids) for k in range(4)}
-        pts = self.surface.points
-        slots: list[tuple[str, int]] = []
-        named = set()
-        for p, n in self.slots:
-            if p not in pts:
-                raise ValueError(f"slot list names unknown marked point {p!r}")
-            if p in named:
-                raise ValueError("slot list names a marked point twice")
-            named.add(p)
-            for s in range(n):
-                node["B", p, s] = len(node)
-                slots.append((p, s))
+        ends = [x for e in self.edges for x in (e.a, e.b)]
+        count = dict.fromkeys(self.surface.points, 0)
+        for x in ends:
+            if isinstance(x, tuple) and len(x) == 3 and x[0] == "B":
+                if x[1] not in count:
+                    raise ValueError(f"edge end at unknown marked point {x[1]!r}")
+                count[x[1]] += 1
+        slots = [(p, h) for p, m in count.items() for h in range(m)]
+        for p, h in slots:
+            node["B", p, h] = len(node)
         if isinstance(self.surface, Disk):
             if any(e.seam for e in self.edges):
                 raise ValueError("seam counts must vanish on a disk")
             if any(self.loops):
                 raise ValueError("free loops cannot wind on a disk")
-        ends = [x for e in self.edges for x in (e.a, e.b)]
         if len(ends) != len(set(ends)):
             raise ValueError("an attachment point is used by more than one edge end")
         if set(ends) != node.keys():
@@ -177,13 +175,12 @@ class Diagram(Record):
         return to, w, pos, neg, slots
 
 
-def _diagram(surface, crossings, edges, loops=(), slots=()) -> Diagram:
+def _diagram(surface, crossings, edges, loops=()) -> Diagram:
     return Diagram(
         surface,
         tuple(sorted(crossings, key=lambda c: c.id)),
         frozenset(edges),
         tuple(sorted(loops)),
-        tuple(slots),
     )
 
 
@@ -219,7 +216,7 @@ def build_theta_over_cores(k: int) -> Diagram:
         edges.append(make_edge(("X", cid, 1), ("X", cid, 3), 1))
         prev = ("X", cid, 2)
     edges.append(make_edge(prev, ("B", "p2", 0), 0))
-    return _diagram(MarkedAnnulus(), crossings, edges, slots=(("p1", 1), ("p2", 1)))
+    return _diagram(MarkedAnnulus(), crossings, edges)
 
 
 def disk_surface(n: int) -> Disk:
@@ -234,7 +231,7 @@ def build_xk_yn(k: int, n: int) -> Diagram:
     Vertical strand l (1 = leftmost) runs p0 -> p{n+1}; horizontal strand m
     runs p{m} -> q{m}.  The verticals are over at all k*n crossings, and at
     the shared endpoints the left strand is above the right one, so strand l
-    occupies height slot k-l.  Crossing (l, m) is E followed by l and m
+    sits at height k-l.  Crossing (l, m) is E followed by l and m
     zero-padded to one width, E0102 while k, n <= 99; a width fixed per
     diagram keeps the ids distinct and sorted by (l, m).
     """
@@ -260,13 +257,7 @@ def build_xk_yn(k: int, n: int) -> Diagram:
             edges.append(make_edge(prev, ("X", cid[l, m], 1), 0))
             prev = ("X", cid[l, m], 3)
         edges.append(make_edge(prev, ("B", f"q{m}", 0), 0))
-    return _diagram(disk_surface(n), crossings, edges, slots=_grid_slots(k, n))
-
-
-def _grid_slots(k: int, n: int) -> list[tuple[str, int]]:
-    """The slot list of the k-by-n grid: k ends at p0 and p{n+1}, one elsewhere."""
-    slots = [("p0", k)] + [(f"p{i}", 1) for i in range(1, n + 1)] + [(f"p{n + 1}", k)]
-    return slots + [(f"q{i}", 1) for i in range(n, 0, -1)]
+    return _diagram(disk_surface(n), crossings, edges)
 
 
 def build_zkn(k: int, n: int) -> Diagram:
@@ -284,7 +275,7 @@ def build_zkn(k: int, n: int) -> Diagram:
     edges += [
         make_edge(("B", f"p{n - k + i}", 0), ("B", f"p{n + 1}", i - 1)) for i in range(1, k + 1)
     ]
-    return _diagram(disk_surface(n), (), edges, slots=_grid_slots(k, n))
+    return _diagram(disk_surface(n), (), edges)
 
 
 def build_d1_xy() -> Diagram:

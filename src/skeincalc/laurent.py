@@ -11,7 +11,7 @@ checks here.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from operator import index
 
 _EXPONENT = re.compile(r"-?[0-9]+")
@@ -119,23 +119,16 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return LaurentPoly.dot(((self, o),))
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def dot(pairs: Iterable[tuple["LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
-        """sum(a * b for a, b in pairs), accumulated in one dict: zeros are
-        dropped once at the end and one object is built."""
         acc: dict[int, int] = {}
         get = acc.get
-        for a, b in pairs:
-            bt = b._terms.items()
-            for e1, c1 in a._terms.items():
-                for e2, c2 in bt:
-                    e = e1 + e2
-                    acc[e] = get(e, 0) + c1 * c2
+        ot = o._terms.items()
+        for e1, c1 in self._terms.items():
+            for e2, c2 in ot:
+                e = e1 + e2
+                acc[e] = get(e, 0) + c1 * c2
         return LaurentPoly._adopt({e: c for e, c in acc.items() if c})
+
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:

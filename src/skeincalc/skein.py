@@ -255,17 +255,18 @@ class IdealSpec(Record):
         """Every generator must join neighbours in the cyclic point order."""
         if not isinstance(surface, Disk):
             raise ValueError("boundary-arc ideals are only supported on disks")
-        pts = surface.points
-        n = len(pts)
-        adjacent = {tuple(sorted((pts[i], pts[(i + 1) % n]))) for i in range(n)}
+        chords = set(full_boundary_ideal(surface).generators)
         for g in self.generators:
-            if g not in adjacent:
-                raise ValueError(f"ideal generator {g} is not a boundary chord of {pts}")
+            if g not in chords:
+                raise ValueError(f"ideal generator {g} is not a boundary chord of {surface.points}")
 
 
 def grid_ideal(n: int) -> IdealSpec:
-    """The ideal used with the k-by-n grid diagrams: boundary arcs
-    p0p1, ..., p{n-1}p{n} (note p{n}p{n+1} is deliberately not in it)."""
+    """The ideal used with the k-by-n grid diagrams on disk_surface(n),
+    n >= 1: boundary arcs p0p1, ..., p{n-1}p{n} (note p{n}p{n+1} is
+    deliberately not in it)."""
+    if n < 1:
+        raise ValueError("the grid ideal is defined for n >= 1")
     return IdealSpec.of_pairs((f"p{i}", f"p{i + 1}") for i in range(n))
 
 
@@ -280,34 +281,27 @@ def full_boundary_ideal(surface: Disk) -> IdealSpec:
 
 
 def _reduce_state(
-    surface: Surface,
-    points: tuple[str, ...],
-    order: dict[str, int],
-    arcs: list[tuple[str, int, str, int, int]],
-    essential: int,
+    surface: Surface, arcs: list[tuple[str, int, str, int, int]], essential: int
 ) -> BasisElement:
     """The basis element of a crossingless state: its arcs, each (point_a,
-    slot_a, point_b, slot_b, winding from a to b), and its count of
-    essential loops.  Trivial loops and killed states never reach it."""
+    height_a, point_b, height_b, winding from a to b), and its count of
+    essential loops.  Each arc lists its lower end in (surface.points
+    index, height) order first, and the arcs come sorted in that order,
+    as the slot numbering of Diagram.ports() gives them.  Trivial loops
+    and killed states never reach it."""
     if isinstance(surface, Annulus):
         if arcs:
             raise StructureError("the annulus model has no marked points for arcs")
         return AnnulusPower(essential)
     if isinstance(surface, MarkedAnnulus):
-        if len(arcs) != 1:
-            raise StructureError("a marked-annulus tangle has exactly one arc")
+        if [arc[0:3:2] for arc in arcs] != [("p1", "p2")]:
+            raise StructureError("a marked-annulus tangle has exactly one arc, from p1 to p2")
         if essential:
             raise StructureError(
                 "an essential loop next to the arc is impossible for an embedded diagram"
             )
-        a, _, _, _, w = arcs[0]
-        return AioArc(w if a == "p1" else -w)
-    chords = [
-        (a, sa, b, sb) if (order[a], sa) <= (order[b], sb) else (b, sb, a, sa)
-        for a, sa, b, sb, _ in arcs
-    ]
-    chords.sort(key=lambda c: (order[c[0]], c[1], order[c[2]], c[3]))
-    return DiskMatching(points, tuple(chords))
+        return AioArc(arcs[0][4])
+    return DiskMatching(surface.points, tuple(arc[:4] for arc in arcs))
 
 
 def normal_form(d: Diagram) -> SkeinVector:
@@ -421,8 +415,6 @@ def _frontier_resolve(
                     key = (tuple(sorted((a, b, x) for a, (b, x) in ends.items() if a < b)), ess)
                     _accumulate(nxt.setdefault(key, {}), weight, shift, trivial)
         frontier = nxt
-    points = d.surface.points
-    order = {p: i for i, p in enumerate(points)}
     acc: dict[BasisElement, dict[int, int]] = {}
     for (paths, essential), weight in frontier.items():
         if not weight:
@@ -431,12 +423,14 @@ def _frontier_resolve(
         for a, b, x in paths:
             partner[a] = (b, x)
             partner[b] = (a, -x)
+        # Slot nodes run in (marked point, height) order, so each arc starts
+        # at its lower end and the arcs come sorted, as _reduce_state takes them.
         arcs = [
             (*slots[s - ports], *slots[t - ports], wind)
             for s, (t, wind) in partner.items()
             if s < t
         ]
-        elem = _reduce_state(d.surface, points, order, arcs, essential)
+        elem = _reduce_state(d.surface, arcs, essential)
         _accumulate(acc.setdefault(elem, {}), weight, 0, 0)
     return acc
 

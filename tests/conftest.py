@@ -74,7 +74,6 @@ def resolve_crossings(d: Diagram, signs: dict[str, int]) -> Diagram:
         [c for c in d.crossings if c.id not in signs],
         set(by_end.values()),
         loops=loops,
-        slots=d.slots,
     )
 
 
@@ -85,7 +84,8 @@ def resolve_crossing(d: Diagram, cid: str, sign: int) -> Diagram:
 
 def diagram_json(d: Diagram) -> dict:
     """A full JSON description of d: crossings, edges with seam counts,
-    loops and endpoint orders, for debugging."""
+    loops and the number of edge ends at each marked point, for debugging."""
+    at = [x[1] for e in d.edges for x in (e.a, e.b) if x[0] == "B"]
     if isinstance(d.surface, Disk):
         surf = {"kind": "disk", "points": list(d.surface.points)}
     elif isinstance(d.surface, Annulus):
@@ -100,14 +100,16 @@ def diagram_json(d: Diagram) -> dict:
             for e in sorted(d.edges, key=lambda e: (e.a, e.b))
         ],
         "loops": list(d.loops),
-        "endpoints": {p: n for p, n in d.slots},
+        "endpoints": {p: at.count(p) for p in d.surface.points if p in at},
     }
 
 
 def scan_components(ports, mask: int):
     """Arcs and loop windings of the state where bit ci = 1 means the
     ci-th crossing is resolved positively, traced edge by edge through
-    the arrays of Diagram.ports()."""
+    the arrays of Diagram.ports().  Each arc starts from its lower slot
+    node and the arcs come in slot node order, as _reduce_state takes
+    them."""
     to, w, pos, neg, slots = ports
     c4 = len(pos)
     seen = bytearray(len(to))
@@ -149,8 +151,6 @@ def scan_resolve(d: Diagram, ideal: IdealSpec | None = None) -> SkeinVector:
     is zero."""
     ports = d.ports()
     c = d.crossing_count
-    points = d.surface.points
-    order = {p: i for i, p in enumerate(points)}
     gens = set() if ideal is None else set(ideal.generators)
     acc: dict = {}
     for mask in range(1 << c):
@@ -160,7 +160,7 @@ def scan_resolve(d: Diagram, ideal: IdealSpec | None = None) -> SkeinVector:
             raise StructureError(f"embedded loops cannot wind {max(loops)} times")
         if isinstance(d.surface, Disk) and any(a == b for a, _, b, _, _ in arcs):
             continue
-        elem = _reduce_state(d.surface, points, order, arcs, loops.count(1))
+        elem = _reduce_state(d.surface, arcs, loops.count(1))
         if isinstance(elem, DiskMatching) and any(
             tuple(sorted(pair)) in gens for pair in elem.chord_pairs()
         ):
@@ -247,7 +247,6 @@ def open_braid(
         Disk(tuple(points)),
         tuple(sorted(crossings, key=lambda cr: cr.id)),
         frozenset(edges),
-        slots=tuple(heights.items()),
     )
 
 

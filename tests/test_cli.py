@@ -106,6 +106,13 @@ class TestExitCodes:
         assert code == 2
         assert "refusing to expand" in err
 
+    def test_grid_ideal_off_the_grid_disk_is_two(self, capsys):
+        # The kink lies on the unmarked disk, which no grid ideal fits; it
+        # used to print the unreduced q + q^5 and exit 0.
+        code, out, err = run_cli(capsys, "resolve", "kink:+", "--ideal", "grid")
+        assert (code, out) == (2, "")
+        assert err == "error: --ideal grid needs a grid disk, p0..p{n+1}, q{n}..q1 with n >= 1\n"
+
     def test_resolve_refuses_large_core_before_building(self, capsys, monkeypatch):
         def refuse(*args):
             raise AssertionError("a core stack over the limit was built")

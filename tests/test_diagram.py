@@ -48,7 +48,8 @@ class TestBuilders:
             d = build_theta_over_cores(k)
             assert isinstance(d.surface, MarkedAnnulus)
             assert d.crossing_count == k
-            assert d.slot_count("p1") == 1 and d.slot_count("p2") == 1
+            at = [p for p, _ in d.ports()[4]]
+            assert at.count("p1") == 1 and at.count("p2") == 1
 
     def test_xk_yn_crossing_count(self):
         for k in range(1, 4):
@@ -61,8 +62,9 @@ class TestBuilders:
         assert d.surface.points == (
             "p0", "p1", "p2", "p3", "p4", "p5", "p6", "q5", "q4", "q3", "q2", "q1",
         )
-        assert d.slot_count("p0") == 2 and d.slot_count("p6") == 2
-        assert d.slot_count("p3") == 1 and d.slot_count("q2") == 1
+        at = [p for p, _ in d.ports()[4]]
+        assert at.count("p0") == 2 and at.count("p6") == 2
+        assert at.count("p3") == 1 and at.count("q2") == 1
 
     def test_xk_yn_ids_are_unique_past_99_strands(self):
         # With two digits per strand, (10, 101) and (101, 1) both gave E10101.
@@ -158,7 +160,7 @@ class TestResolveCrossing:
                 for cid in [c.id for c in d.crossings]:
                     d = resolve_crossing(d, cid, -1)
                 z = build_zkn(k, n)
-                assert (z.loops, z.edges, z.slots) == (d.loops, d.edges, d.slots), (k, n)
+                assert (z.loops, z.edges) == (d.loops, d.edges), (k, n)
                 assert z == d
 
     def test_batch_equals_fold_for_mixed_signs(self):
@@ -232,7 +234,6 @@ class TestPrimitives:
             crossings=d.crossings,
             edges=frozenset(list(d.edges)[:1]),
             loops=d.loops,
-            slots=d.slots,
         )
         with pytest.raises(ValueError):
             broken.validate()

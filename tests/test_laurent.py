@@ -59,20 +59,6 @@ class TestArithmetic:
             for x in (a + b, a - b, a * b, -a, a.shifted(3)):
                 assert 0 not in x.terms().values()
 
-    def test_dot_is_sum_of_products(self, rng):
-        for _ in range(100):
-            pairs = [(random_laurent(rng), random_laurent(rng)) for _ in range(rng.randint(0, 4))]
-            want = ZERO
-            for a, b in pairs:
-                want = want + a * b
-            got = LaurentPoly.dot(pairs)
-            assert got == want
-            assert 0 not in got.terms().values()
-
-    def test_dot_cancels_to_zero(self):
-        assert LaurentPoly.dot([(Q, Q), (-Q, Q)]) == ZERO
-        assert LaurentPoly.dot([]).is_zero()
-
 
 class TestPositiveCone:
     def test_examples(self):

@@ -37,7 +37,7 @@ class TestRecord:
     def test_keyword_and_default_construction(self):
         assert Edge(A, B) == Edge(A, B, 0) == Edge(a=A, b=B, seam=0) == Edge(A, b=B)
         d = Diagram(surface=Annulus(), loops=(0,))
-        assert (d.crossings, d.edges, d.loops, d.slots) == ((), frozenset(), (0,), ())
+        assert (d.crossings, d.edges, d.loops) == ((), frozenset(), (0,))
         assert Constraint("c_0", ONE, True).kind == "positivity"
 
     @pytest.mark.parametrize(

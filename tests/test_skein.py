@@ -19,6 +19,8 @@ from skeincalc.diagram import (
     Annulus,
     Diagram,
     Disk,
+    Edge,
+    MarkedAnnulus,
     build_core_stack,
     build_d1_xy,
     build_kink,
@@ -50,6 +52,13 @@ from skeincalc.skein import (
 )
 
 EMPTY_DISK = DiskMatching((), ())
+COVER = "edge ends do not cover every port and endpoint exactly once"
+
+
+def move_end(d: Diagram, old, new) -> Diagram:
+    """d with the edge end old replaced by new, which need not be valid."""
+    edges = {Edge(*(new if x == old else x for x in (e.a, e.b)), e.seam) for e in d.edges}
+    return Diagram(d.surface, d.crossings, frozenset(edges), d.loops)
 
 
 class TestClassify:
@@ -109,10 +118,18 @@ class TestNormalForm:
             crossings=base.crossings,
             edges=base.edges,
             loops=(1,),
-            slots=base.slots,
         )
         with pytest.raises(StructureError):
             normal_form(bad)
+
+    @pytest.mark.parametrize("point", ["p1", "p2"])
+    def test_rejects_marked_annulus_arc_back_to_its_point(self, point):
+        # Such an arc is no theta_n; it used to be read as theta_1 at p1
+        # and theta_-1 at p2.
+        edge = make_edge(("B", point, 0), ("B", point, 1), 1)
+        d = Diagram(MarkedAnnulus(), edges=frozenset({edge}))
+        with pytest.raises(StructureError, match="exactly one arc, from p1 to p2"):
+            normal_form(d)
 
     def test_rejects_overwound_loop(self):
         d = Diagram(surface=Annulus(), loops=(2,))
@@ -179,7 +196,6 @@ class TestResolveAll:
             surface=Disk(("a", "b")),
             edges=frozenset({make_edge(("B", "a", 0), ("B", "a", 1))}),
             loops=(1,),
-            slots=(("a", 2),),
         )
         for check in (Diagram.validate, resolve_all, normal_form):
             with pytest.raises(ValueError, match="free loops cannot wind on a disk"):
@@ -195,13 +211,42 @@ class TestResolveAll:
             with pytest.raises(ValueError, match="crossing ids must be distinct"):
                 check(d)
 
-    def test_rejects_repeated_slot_point(self):
-        # Without the check this validated, leaving the first p0 slot as
-        # a node no edge reaches.
-        d1, z = build_d1_xy(), build_zkn(1, 1)
-        for d, check in ((d1, Diagram.validate), (d1, resolve_all), (z, normal_form)):
-            bad = Diagram(d.surface, d.crossings, d.edges, d.loops, d.slots + (("p0", 1),))
-            with pytest.raises(ValueError, match="slot list names a marked point twice"):
+    @pytest.mark.parametrize(
+        "d, old, new, words",
+        [
+            # A point the surface lacks has no slot for the end to take.
+            (build_zkn(1, 1), ("B", "p0", 0), ("B", "p9", 0), "unknown marked point 'p9'"),
+            # The heights at a point with m ends must be 0..m-1: {1}, then {0, 2}.
+            (build_zkn(1, 1), ("B", "p0", 0), ("B", "p0", 1), COVER),
+            (build_zkn(2, 2), ("B", "p0", 1), ("B", "p0", 2), COVER),
+        ],
+        ids=["unknown-point", "heights-1", "heights-0-2"],
+    )
+    def test_rejects_misplaced_boundary_end(self, d, old, new, words):
+        bad = move_end(d, old, new)
+        for check in (Diagram.validate, resolve_all, normal_form):
+            with pytest.raises(ValueError, match=words):
+                check(bad)
+
+    @pytest.mark.parametrize(
+        "end",
+        [
+            "p0",
+            5,
+            None,
+            (),
+            ("B",),
+            ("B", "p0"),
+            ("B", "p0", "0"),
+            ("B", "p0", 0.5),
+            ("B", "p0", None),
+            ("B", "p0", 0, 0),
+        ],
+    )
+    def test_rejects_malformed_attachment(self, end):
+        bad = move_end(build_d1_xy(), ("B", "p0", 0), end)
+        for check in (Diagram.validate, resolve_all):
+            with pytest.raises(ValueError, match=COVER):
                 check(bad)
 
     def test_each_call_compiles_once(self, monkeypatch):
@@ -226,14 +271,13 @@ class TestResolveAll:
             surface=d.surface,
             crossings=d.crossings,
             edges=frozenset(sorted(d.edges, key=lambda e: (e.a, e.b))[1:]),
-            slots=d.slots,
         )
         with pytest.raises(ValueError, match="edge ends do not cover every port"):
             resolve_all(broken)
 
     def test_cap_is_checked_before_validation(self):
         d = build_xk_yn(2, 2)
-        broken = Diagram(d.surface, d.crossings, frozenset(), (), d.slots)
+        broken = Diagram(d.surface, d.crossings, frozenset(), ())
         with pytest.raises(CrossingCapExceeded):
             resolve_all(broken, cap=3)
 
@@ -275,6 +319,13 @@ class TestResolveAllMod:
             resolve_all_mod(
                 build_theta_over_cores(1), IdealSpec.of_pairs([("p1", "p2")])
             )
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_grid_ideal_needs_a_grid(self, n):
+        # The kink's unmarked disk once asked for grid_ideal(-1) and got an
+        # empty ideal, so the quotient silently was no quotient.
+        with pytest.raises(ValueError, match="grid ideal is defined for n >= 1"):
+            grid_ideal(n)
 
 
 class TestThetaBullet:
@@ -514,11 +565,31 @@ class TestFrontierAgainstOracles:
             assert got == fold_resolve(d)
         assert got == scan_resolve(d, ideal) == resolve(open_braid(word, bottom, top))
 
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(open_braids())
+    def test_open_braid_chords_in_marked_point_order(self, case):
+        # Read off the surface and the edges, not through ports(): every
+        # chord lists its lower end first by (index in surface.points,
+        # height), the chords strictly increase in that order, and each
+        # boundary end of the diagram is used exactly once.
+        (word, bottom, top, ids), ideal = case
+        d = open_braid(word, bottom, top, ids)
+        index = {p: i for i, p in enumerate(d.surface.points)}
+        boundary = [(index[x[1]], x[2]) for e in d.edges for x in (e.a, e.b) if x[0] == "B"]
+        assert len(set(boundary)) == len(boundary)
+        got = resolve_all(d) if ideal is None else resolve_all_mod(d, ideal)
+        for elem in got:
+            assert elem.points == d.surface.points
+            keys = [((index[a], ha), (index[b], hb)) for a, ha, b, hb in elem.chords]
+            assert all(lo < hi for lo, hi in keys)
+            assert all(x < y for x, y in zip(keys, keys[1:]))
+            assert sorted(end for key in keys for end in key) == sorted(boundary)
+
     def test_open_braid_shared_points_and_ideal_kill(self):
         # The negative smoothing of sigma_1 joins the two ends at b0, and
         # the two at t0: that state dies, and the arc b0-t0 kills the other.
         d = open_braid([1], ["b0", "b0"], ["t0", "t0"])
-        assert d.slots == (("b0", 2), ("t0", 2))
+        assert d.ports()[4] == [("t0", 0), ("t0", 1), ("b0", 0), ("b0", 1)]
         got = resolve_all(d)
         assert [c for _, c in got.items()] == [q_power(1)]
         assert resolve_all_mod(d, IdealSpec.of_pairs([("b0", "t0")])).is_zero()
