@@ -1,4 +1,5 @@
-"""Immutable value records: the package's one owner of field equality.
+"""Immutable values: the package's one immutability guard (Immutable),
+and value records, the one owner of field equality (Record).
 
 A record lists its fields, in order, in ``__slots__`` and the defaults of
 its trailing fields in ``_defaults``.  Two records are equal only when
@@ -11,14 +12,28 @@ import, and a positional call skips argument binding.
 from __future__ import annotations
 
 
-class Record:
-    """Base of the package's immutable values.
+class Immutable:
+    """Slot-free base of every immutable value, records and the
+    arithmetic types (LaurentPoly, UniPoly, SkeinVector) alike: setting
+    or deleting an attribute raises AttributeError.  Constructors store
+    their slots with object.__setattr__ or the slot descriptors."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Record(Immutable):
+    """Base of the package's immutable values with named fields.
 
     Subclasses set ``__slots__`` to their field names and may override
     ``_check``, which runs at the end of ``__init__`` to validate fields.
-    Setting or deleting an attribute raises AttributeError.  The field
-    tuple is also kept whole in ``_key``, so equality, hashing and
-    pickling are one tuple operation each, with no per-field reads.
+    The field tuple is also kept whole in ``_key``, so equality, hashing
+    and pickling are one tuple operation each, with no per-field reads.
     """
 
     __slots__ = ("_key",)
@@ -60,12 +75,6 @@ class Record:
 
     def _check(self) -> None:
         """Validate the fields; the base accepts any values."""
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

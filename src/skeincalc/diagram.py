@@ -100,10 +100,11 @@ def smoothing_pairs(over: tuple[int, int], sign: int) -> tuple[tuple[int, int], 
 class Diagram(Record):
     """An immutable diagram on one of the supported surfaces.
 
-    crossings are kept sorted by id; loops is the sorted multiset of
-    windings of crossing-free closed components (stored nonnegative, a
-    free loop being unoriented).  The edges alone record the ends at each
-    marked point and their heights.
+    crossings are resolved in tuple order, and crossing ids are plain
+    names; loops is the sorted multiset of windings of crossing-free
+    closed components (stored nonnegative, a free loop being unoriented).
+    The edges alone record the ends at each marked point and their
+    heights.
     """
 
     # Surface, tuple[Crossing, ...], frozenset[Edge], tuple[int, ...]
@@ -121,18 +122,19 @@ class Diagram(Record):
     def ports(self) -> tuple[list[int], list[int], list[int], list[int], list[tuple[str, int]]]:
         """Validate the diagram and compile it to the flat port arrays resolvers walk.
 
-        Nodes are crossing ports (4*ci + port, ci the crossing's index)
-        followed by boundary slots, numbered in surface.points order and
+        Nodes are crossing ports (4*ci + port, ci the crossing's index in
+        the tuple, which is the order resolvers take them in) followed by
+        boundary slots, numbered in surface.points order and
         by height within a point, so slot node numbers increase with
         (point index, height).  Returns (to, w, pos, neg, slots):
         to[v] is the node at the other end of v's edge and w[v] the seam
         count from v to it; pos[v] and neg[v] are a port's partner in the
         positive and negative smoothing; slots[v - 4c] is the (point,
         height) of a slot node.  Raises ValueError unless crossing ids are
-        distinct and sorted, every edge end at a marked point names a
-        point of the surface, every port and every height 0..m-1 of a
-        point with m ends is one edge end, and a disk carries no seam
-        counts or winding loops.
+        distinct, every edge end at a marked point names a point of the
+        surface, every port and every height 0..m-1 of a point with m ends
+        is one edge end, and a disk carries no seam counts or winding
+        loops.
         """
         ids = [cr.id for cr in self.crossings]
         if len(set(ids)) != len(ids):
@@ -159,8 +161,6 @@ class Diagram(Record):
             raise ValueError("edge ends do not cover every port and endpoint exactly once")
         if any(x < 0 for x in self.loops):
             raise ValueError("free loop windings are stored nonnegative")
-        if ids != sorted(ids):
-            raise ValueError("crossings must be sorted by id")
         to = [0] * len(node)
         w = [0] * len(node)
         for e in self.edges:
@@ -178,7 +178,7 @@ class Diagram(Record):
 def _diagram(surface, crossings, edges, loops=()) -> Diagram:
     return Diagram(
         surface,
-        tuple(sorted(crossings, key=lambda c: c.id)),
+        tuple(crossings),
         frozenset(edges),
         tuple(sorted(loops)),
     )
@@ -200,14 +200,12 @@ def build_theta_over_cores(k: int) -> Diagram:
     The arc is the over-strand everywhere.  Crossing i sits where the arc
     meets loop i (loops ordered inner to outer); ports 0 = toward p1,
     2 = toward p2, 1/3 = the loop, with the loop edge oriented so its
-    seam count is +1 from port 1 to port 3.  Crossing i is c followed by
-    i zero-padded to one width, c01 while k <= 99; a width fixed per
-    diagram keeps the ids sorted in arc order.
+    seam count is +1 from port 1 to port 3.  Crossing i is named ci and
+    the crossings are listed in arc order, the order they are resolved in.
     """
     if k < 0:
         raise ValueError("loop count must be nonnegative")
-    width = max(2, len(str(k)))
-    cids = [f"c{i:0{width}d}" for i in range(1, k + 1)]
+    cids = [f"c{i}" for i in range(1, k + 1)]
     crossings = [Crossing(cid, (0, 2)) for cid in cids]
     edges = []
     prev: Attachment = ("B", "p1", 0)
@@ -231,18 +229,12 @@ def build_xk_yn(k: int, n: int) -> Diagram:
     Vertical strand l (1 = leftmost) runs p0 -> p{n+1}; horizontal strand m
     runs p{m} -> q{m}.  The verticals are over at all k*n crossings, and at
     the shared endpoints the left strand is above the right one, so strand l
-    sits at height k-l.  Crossing (l, m) is E followed by l and m
-    zero-padded to one width, E0102 while k, n <= 99; a width fixed per
-    diagram keeps the ids distinct and sorted by (l, m).
+    sits at height k-l.  Crossing (l, m) is named El.m and the crossings
+    are listed row-major by (l, m), the order they are resolved in.
     """
     if k < 1 or n < 1:
         raise ValueError("strand counts must be positive")
-    width = max(2, len(str(max(k, n))))
-    cid = {
-        (l, m): f"E{l:0{width}d}{m:0{width}d}"
-        for l in range(1, k + 1)
-        for m in range(1, n + 1)
-    }
+    cid = {(l, m): f"E{l}.{m}" for l in range(1, k + 1) for m in range(1, n + 1)}
     crossings = [Crossing(c, (0, 2)) for c in cid.values()]
     edges = []
     for l in range(1, k + 1):

@@ -14,16 +14,18 @@ import re
 from collections.abc import Mapping
 from operator import index
 
+from ._record import Immutable
+
 _EXPONENT = re.compile(r"-?[0-9]+")
 
 
-class LaurentPoly:
+class LaurentPoly(Immutable):
     """An element of Z[q, q^-1], stored sparsely as {exponent: coefficient}.
 
-    Values are immutable by convention.  Coefficients are Python ints,
-    hence arbitrary precision.  No zero coefficient is ever stored: the
-    public constructor drops zeros, and every internal constructor
-    (`_adopt`) is handed a dict that already holds none.  `is_zero`,
+    Values are immutable.  Coefficients are Python ints, hence arbitrary
+    precision.  No zero coefficient is ever stored: the public
+    constructor drops zeros, and every internal constructor (`_adopt`)
+    is handed a dict that already holds none.  `is_zero`,
     `is_positive`, `__eq__` and `__hash__` rely on this invariant, so
     equality and hashing are structural.
     """
@@ -52,9 +54,6 @@ class LaurentPoly:
         out = object.__new__(cls)
         object.__setattr__(out, "_terms", terms)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- accessors ---------------------------------------------------------
 

@@ -25,10 +25,11 @@ from operator import index
 from typing import Callable, Collection, Iterable, Mapping
 
 from ._cap import MissingEntry
+from ._record import Immutable
 from .laurent import LaurentPoly, ONE, ZERO
 
 
-class UniPoly:
+class UniPoly(Immutable):
     """A polynomial in t with LaurentPoly coefficients, dense by degree.
 
     Trailing zero coefficients are stripped, so the degree is always the
@@ -44,9 +45,6 @@ class UniPoly:
         object.__setattr__(self, "_coeffs", tuple(cs))
         object.__setattr__(self, "_stats", None)
         object.__setattr__(self, "_packs", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniPoly is immutable")
 
     @property
     def coeffs(self) -> tuple[LaurentPoly, ...]:

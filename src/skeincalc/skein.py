@@ -41,7 +41,7 @@ from ._cap import (  # CrossingCapExceeded is re-exported
     CrossingCapExceeded,
     refuse_over_cap,
 )
-from ._record import Record
+from ._record import Immutable, Record
 from .diagram import (
     Annulus,
     Diagram,
@@ -139,7 +139,7 @@ def _basis_sort_key(elem: BasisElement):
 # -- skein vectors -------------------------------------------------------------
 
 
-class SkeinVector:
+class SkeinVector(Immutable):
     """A finite linear combination of basis elements with Laurent coefficients.
 
     Zero coefficients are never stored; equality is structural.
@@ -154,9 +154,6 @@ class SkeinVector:
                 if not c.is_zero():
                     clean[b] = c
         object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SkeinVector is immutable")
 
     @classmethod
     def zero(cls) -> "SkeinVector":

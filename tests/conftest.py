@@ -31,8 +31,9 @@ from skeincalc.skein import DiskMatching, _reduce_state
 
 
 def resolve_crossings(d: Diagram, signs: dict[str, int]) -> Diagram:
-    """Remove the crossings named in signs, in id order, reconnecting the
-    ports of each per the smoothing rule of its sign.
+    """Remove the crossings named in signs, in the order signs lists
+    them, reconnecting the ports of each per the smoothing rule of its
+    sign.
 
     Seam counts of merged edges add up (with orientation); an edge whose
     two ends get joined to each other closes into a free loop.  The edge
@@ -44,7 +45,7 @@ def resolve_crossings(d: Diagram, signs: dict[str, int]) -> Diagram:
         by_end[e.a] = e
         by_end[e.b] = e
     loops = list(d.loops)
-    for cid in sorted(signs):
+    for cid in signs:
         if signs[cid] not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if cid not in over:
@@ -184,7 +185,7 @@ def fold_resolve(d: Diagram) -> SkeinVector:
     return pos + neg
 
 
-def closed_braid(word: list[int], surface=Disk(), ids: list[int] | None = None) -> Diagram:
+def closed_braid(word: list[int], surface=Disk(), order: list[int] | None = None) -> Diagram:
     """The closure of a braid word on the unmarked disk or the annulus.
 
     Letter i > 0 is sigma_i, the over-strand going from position i at the
@@ -192,17 +193,17 @@ def closed_braid(word: list[int], surface=Disk(), ids: list[int] | None = None) 
     0 = SW, 1 = NW, 2 = NE, 3 = SE, strands run upward, and each closure
     edge joins a position's last port to its first one, so every position
     must carry a crossing.  On the annulus the closure edges go around the
-    core, crossing the seam once each with count +1.  Letter j gets the
-    crossing id b{ids[j]:04d}, so a permutation ids shuffles the order the
-    resolver takes the crossings in; by default ids sort in word order.
+    core, crossing the seam once each with count +1.  Letter j is the
+    crossing named bj, and the crossing tuple lists the letters in word
+    order, or as order permutes them: order[i] is the letter the resolver
+    takes i-th.
     """
-    ids = range(len(word)) if ids is None else ids
     seam = 1 if isinstance(surface, Annulus) else 0
     first: dict[int, tuple] = {}
     last: dict[int, tuple] = {}
     crossings, edges = [], []
-    for letter, j in zip(word, ids):
-        i, cid = abs(letter), f"b{j:04d}"
+    for j, letter in enumerate(word):
+        i, cid = abs(letter), f"b{j}"
         crossings.append(Crossing(cid, (0, 2) if letter > 0 else (1, 3)))
         for pos, bottom, top in ((i, 0, 1), (i + 1, 3, 2)):
             if pos in last:
@@ -211,11 +212,16 @@ def closed_braid(word: list[int], surface=Disk(), ids: list[int] | None = None) 
                 first[pos] = ("X", cid, bottom)
             last[pos] = ("X", cid, top)
     edges += [make_edge(last[pos], first[pos], seam) for pos in first]
-    return Diagram(surface, tuple(sorted(crossings, key=lambda cr: cr.id)), frozenset(edges))
+    return Diagram(surface, permuted(crossings, order), frozenset(edges))
+
+
+def permuted(crossings: list[Crossing], order: list[int] | None) -> tuple[Crossing, ...]:
+    """The crossing tuple in word order, or its order[i]-th entry i-th."""
+    return tuple(crossings) if order is None else tuple(crossings[j] for j in order)
 
 
 def open_braid(
-    word: list[int], bottom: list[str], top: list[str], ids: list[int] | None = None
+    word: list[int], bottom: list[str], top: list[str], order: list[int] | None = None
 ) -> Diagram:
     """A braid word whose strands run across a marked disk, bottom to top.
 
@@ -223,8 +229,8 @@ def open_braid(
     positions sharing a point take its height slots left to right, and a
     position that no letter touches is one edge from bottom to top.  The
     points, clockwise, are the top ones left to right, then the bottom
-    ones right to left.  Letters, ports and crossing ids are as in
-    closed_braid.
+    ones right to left.  Letters, ports, crossing names and order are as
+    in closed_braid.
     """
     points = [*dict.fromkeys(top), *reversed(dict.fromkeys(bottom))]
     heights: dict[str, int] = {}
@@ -234,20 +240,49 @@ def open_braid(
         return ("B", p, heights[p] - 1)
 
     last = {pos: end(p) for pos, p in enumerate(bottom, 1)}
-    ids = range(len(word)) if ids is None else ids
     crossings, edges = [], []
-    for letter, j in zip(word, ids):
-        i, cid = abs(letter), f"b{j:04d}"
+    for j, letter in enumerate(word):
+        i, cid = abs(letter), f"b{j}"
         crossings.append(Crossing(cid, (0, 2) if letter > 0 else (1, 3)))
         for pos, down, up in ((i, 0, 1), (i + 1, 3, 2)):
             edges.append(make_edge(last[pos], ("X", cid, down)))
             last[pos] = ("X", cid, up)
     edges += [make_edge(last[pos], end(p)) for pos, p in enumerate(top, 1)]
-    return Diagram(
-        Disk(tuple(points)),
-        tuple(sorted(crossings, key=lambda cr: cr.id)),
-        frozenset(edges),
-    )
+    return Diagram(Disk(tuple(points)), permuted(crossings, order), frozenset(edges))
+
+
+def closure_components(word: list[int]) -> int:
+    """The number of components of a braid word's closure: the cycles of
+    the permutation its letters make of the strand positions.  Read off
+    the word alone, so it shares nothing with any diagram tracer."""
+    at = list(range(max(map(abs, word)) + 2))
+    for letter in word:
+        i = abs(letter)
+        at[i], at[i + 1] = at[i + 1], at[i]
+    seen, cycles = set(), 0
+    for start in at[1:]:
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = at[start]
+    return cycles
+
+
+def closure_parity(word: list[int]) -> tuple[int, int]:
+    """The value of the disk closure of word at q = 1 and at q = -1:
+    (-1)^c (-2)^k and (-2)^k for c letters and k components.  At q = +-1
+    a crossing equals its mirror, so crossing changes turn the diagram
+    into an unlink of k loops; Reidemeister moves II and III keep the
+    value and remove crossings in pairs, and move I removes one at the
+    factor -q^(+-3), which is -1 at q = 1 and 1 at q = -1."""
+    k = closure_components(word)
+    return (-1) ** len(word) * (-2) ** k, (-2) ** k
+
+
+def at_minus_one(p: LaurentPoly) -> int:
+    """p evaluated at q = -1; LaurentPoly.eval_q1 gives q = 1."""
+    return sum(c * (-1) ** e for e, c in p.terms().items())
 
 
 def enumerate_states(d: Diagram):

@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, formats, determinism."""
 
 import ast
+import collections
 import concurrent.futures
 import contextlib
 import gc
+import io
 import json
 import multiprocessing.process
 import os
@@ -735,3 +737,121 @@ class TestStartup:
         spans, missing = ast.literal_eval(run_python(probe).strip())
         assert imports and spans
         assert missing == []
+
+
+# -- exit-code fuzz ---------------------------------------------------------------
+#
+# Values stay small, so every command that runs at all runs in milliseconds;
+# the junk spellings reach the parser's and the runner's refusals.
+
+JUNK = ["", "x", "1.5", "+2", "07", "-0", "1e3", "\u0663", "--", "-n"]
+SMALL = ["-1", "0", "1", "2", "2", "3", "3", "4", "5", "5", "x", "1.5"]
+# Each command's options beyond the common ones, with their values; None
+# marks a flag with no value, and "--seq" takes a name or a file.
+OPTIONS = {
+    "verify-theta": {"--n": SMALL},
+    "verify-zkn": {"--k": SMALL, "--n": SMALL},
+    "verify-d1": {},
+    "audit": {"--max-n": SMALL, "--seq": []},
+    "minimality": {"--n": SMALL, "--seq": []},
+    "arc-constraints": {"--n": SMALL, "--seq": [], "--k-max": SMALL, "--diagram-check": None},
+    "resolve": {"--ideal": ["none", "boundary", "grid", "all"]},
+}
+ALWAYS = {"--n", "--k", "--max-n", "--seq"}
+COMMON = {
+    "--format": ["text", "json", "tsv", "xml"],
+    "--cap": ["-1", "0", "4", "24", "24", "30"],
+    "--jobs": ["0", "1", "1", "2"],
+    "--q1": None,
+}
+SPECS = ["core:2", "theta:0", "theta:3", "xkyn:2,2", "xkyn:5,5", "xkyn:1,3", "zkn:2,3",
+         "zkn:3,2", "d1", "kink:+", "kink:-", "kink:0", "theta:-1", "xkyn:2", "core:", "torus:2"]
+BAD_JSON = ["", "{", "[1,", "[[1]]x", '{"polys": {"1": [1], "1": [2]}}']
+
+
+def random_command_line(rng, seq_file: str) -> list[str]:
+    """A command (now and then an unknown one), the resolve spec, its
+    required options and --seq, up to three others, all in random order,
+    and now and then a stray token."""
+    command = rng.choice([*OPTIONS, *OPTIONS, "bogus"])
+    options = {**OPTIONS.get(command, {}), **COMMON}
+    options["--seq"] = ["chebyshev", "chebyshev", "power", seq_file, seq_file, seq_file + ".x"]
+    flags = [f for f in OPTIONS.get(command, {}) if f in ALWAYS]
+    flags += rng.sample(sorted(options.keys() - ALWAYS), rng.randint(0, 3))
+    rng.shuffle(flags)
+    argv = [command, rng.choice(SPECS + JUNK[:3])] if command == "resolve" else [command]
+    for flag in flags:
+        argv += [flag] if options[flag] is None else [flag, rng.choice(options[flag])]
+    if rng.random() < 0.05:
+        argv.insert(rng.randint(1, len(argv)), rng.choice([*JUNK, "--help"]))
+    return argv
+
+
+def random_coefficient(rng):
+    r = rng.random()
+    if r < 0.6:
+        return rng.randint(-3, 3)
+    if r < 0.95:
+        exponents = ["0", "1", "-1", "2", "-4", "9", "x"]
+        return {rng.choice(exponents): rng.randint(-3, 3) for _ in range(rng.randint(0, 2))}
+    return rng.choice([10**30, 1.5, True, None, "1", [1]])
+
+
+def random_sequence_file(rng) -> str:
+    """The text of a sequence file: mostly JSON of the accepted shapes,
+    entry k mostly monic of degree k, with bad entries mixed in, and now
+    and then not JSON or repeating a key."""
+
+    def poly(degree: int):
+        r = rng.random()
+        if r < 0.6:
+            return [random_coefficient(rng) for _ in range(degree)] + [1]
+        if r < 0.9:
+            return [random_coefficient(rng) for _ in range(rng.randint(0, 4))]
+        return random_coefficient(rng)
+
+    r = rng.random()
+    if r < 0.45:
+        return json.dumps([poly(k) for k in range(rng.randint(0, 6))])
+    if r < 0.9:
+        keys = [rng.choice(["0", "1", "1", "2", "2", "3", "01", "-1", "x"]) for _ in range(4)]
+        polys = {k: poly(int(k) if k.isdigit() else 1) for k in keys[: rng.randint(0, 4)]}
+        data = {"polys": polys}
+        if rng.random() < 0.5:
+            data["base"] = rng.choice(["chebyshev", "power", "other", 3])
+        if rng.random() < 0.1:
+            data["x"] = 1
+        return json.dumps(data)
+    return rng.choice([*BAD_JSON, "7"])
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    """_parser.main(argv) with its exit code, stdout and stderr; argparse's
+    exits (--help, usage errors) count as the exit they carry."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = _parser.main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2), (argv, exc.code)
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExitCodeFuzz:
+    def test_every_exit_is_zero_one_or_two(self, rng, tmp_path):
+        # Any other exception escapes and fails the test; in the process
+        # entry it would exit 1 with a traceback.
+        seq = tmp_path / "seq.json"
+        codes = collections.Counter()
+        for _ in range(300):
+            seq.write_text(random_sequence_file(rng))
+            argv = random_command_line(rng, str(seq))
+            code, out, err = run_in_process(argv)
+            case = (argv, seq.read_text(), code)
+            assert code in (0, 1, 2), case
+            assert "Traceback" not in err, case
+            assert code != 1 or out.strip(), case  # exit 1 only after a report
+            assert code != 2 or out == "", case  # a refusal prints no report
+            codes[code] += 1
+        assert set(codes) == {0, 1, 2}, codes  # the net reaches every exit

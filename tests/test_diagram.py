@@ -67,16 +67,18 @@ class TestBuilders:
         assert at.count("p3") == 1 and at.count("q2") == 1
 
     def test_xk_yn_ids_are_unique_past_99_strands(self):
-        # With two digits per strand, (10, 101) and (101, 1) both gave E10101.
+        # With two digits per strand and no separator, (10, 101) and
+        # (101, 1) both gave E10101; the dot keeps (1, 11) and (11, 1) apart.
         d = build_xk_yn(101, 101)
         assert len({c.id for c in d.crossings}) == 101 * 101
         d.validate()
         ids = [c.id for c in build_xk_yn(2, 3).crossings]
-        assert ids == ["E0101", "E0102", "E0103", "E0201", "E0202", "E0203"]
+        assert ids == ["E1.1", "E1.2", "E1.3", "E2.1", "E2.2", "E2.3"]
 
     def test_theta_ids_follow_arc_order_past_99_loops(self):
-        # With two digits, c100 sorted between c10 and c11, so the resolver
-        # stopped walking the arc in order and theta:150 took seconds.
+        # When the resolver took crossings in sorted-id order, c100 came
+        # between c10 and c11, so it stopped walking the arc in order and
+        # theta:150 took seconds; the tuple order is the arc order.
         d = build_theta_over_cores(150)
         other = {}
         for e in d.edges:
@@ -87,7 +89,29 @@ class TestBuilders:
             end = other["X", end[1], 2]
         assert walk == [c.id for c in d.crossings] and len(walk) == 150
         d.validate()
-        assert [c.id for c in build_theta_over_cores(3).crossings] == ["c01", "c02", "c03"]
+        assert [c.id for c in build_theta_over_cores(3).crossings] == ["c1", "c2", "c3"]
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (2, 3), (3, 12), (12, 3)])
+    def test_xk_yn_lists_crossings_row_major(self, k, n):
+        # Read off the edges, not the ids: vertical strand l, walked from
+        # its end at p0, meets the horizontal strands m = 1..n in turn, and
+        # horizontal strand m, walked from p{m}, meets l = 1..k.
+        d = build_xk_yn(k, n)
+        other = {}
+        for e in d.edges:
+            other[e.a], other[e.b] = e.b, e.a
+
+        def walk(end, out_port):
+            met = []
+            while end[0] == "X":
+                met.append(end[1])
+                end = other["X", end[1], out_port]
+            return met
+
+        rows = [walk(other["B", "p0", k - l], 2) for l in range(1, k + 1)]
+        columns = [walk(other["B", f"p{m}", 0], 3) for m in range(1, n + 1)]
+        assert [cid for row in rows for cid in row] == [c.id for c in d.crossings]
+        assert [[row[m] for row in rows] for m in range(n)] == columns
 
     def test_xk_yn_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -145,12 +169,12 @@ class TestResolveCrossing:
     def test_theta_positive_gives_winding_one(self):
         # The chirality calibration case: one positive smoothing of the
         # arc-over-core crossing leaves the arc winding +1.
-        d = resolve_crossing(build_theta_over_cores(1), "c01", +1)
+        d = resolve_crossing(build_theta_over_cores(1), "c1", +1)
         assert d.loops == ()
         assert normal_form(d) == SkeinVector.single(AioArc(1))
 
     def test_theta_negative_gives_winding_minus_one(self):
-        d = resolve_crossing(build_theta_over_cores(1), "c01", -1)
+        d = resolve_crossing(build_theta_over_cores(1), "c1", -1)
         assert normal_form(d) == SkeinVector.single(AioArc(-1))
 
     def test_zkn_equals_negative_fold(self):
@@ -244,7 +268,7 @@ class TestSerialization:
         d = build_theta_over_cores(1)
         data = diagram_json(d)
         assert data["surface"] == {"kind": "marked_annulus"}
-        assert data["crossings"] == [{"id": "c01", "over": [0, 2]}]
+        assert data["crossings"] == [{"id": "c1", "over": [0, 2]}]
         assert data["endpoints"] == {"p1": 1, "p2": 1}
         assert sorted(e["seam"] for e in data["edges"]) == [0, 0, 1]
 

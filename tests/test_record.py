@@ -26,6 +26,29 @@ class TestRecord:
             del e.seam
         assert e.seam == 1
 
+    @pytest.mark.parametrize(
+        "value, field",
+        [
+            (Edge(A, B, 1), "seam"),
+            (LaurentPoly({-1: 2, 3: -1}), "_terms"),
+            (UniPoly([q_power(1), 0, 1]), "_coeffs"),
+            (SkeinVector({AioArc(2): ONE}), "_terms"),
+        ],
+        ids=["record", "laurent", "unipoly", "vector"],
+    )
+    def test_every_immutable_type_refuses_setattr_and_delattr(self, value, field):
+        # Deleting a slot used to succeed on the arithmetic types, and the
+        # value then failed to hash.
+        before = hash(value)
+        name = type(value).__name__
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, "extra", None)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(value, field)
+        assert hash(value) == before
+
     def test_equality_depends_on_type(self):
         assert AnnulusPower(3) == AnnulusPower(3)
         assert hash(AnnulusPower(3)) == hash(AioArc(3)) == hash((3,))

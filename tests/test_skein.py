@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    at_minus_one,
     closed_braid,
+    closure_parity,
     collect_loop_windings,
     enumerate_states,
     fold_resolve,
@@ -17,6 +19,7 @@ from conftest import (
 )
 from skeincalc.diagram import (
     Annulus,
+    Crossing,
     Diagram,
     Disk,
     Edge,
@@ -97,7 +100,7 @@ class TestNormalForm:
         # meets the first row: the second vertical start is routed west and
         # back down to p0, a same-endpoint arc, which kills the state.
         d = build_xk_yn(2, 2)
-        for cid, sign in [("E0101", -1), ("E0201", +1), ("E0102", -1), ("E0202", -1)]:
+        for cid, sign in [("E1.1", -1), ("E2.1", +1), ("E1.2", -1), ("E2.2", -1)]:
             d = resolve_crossing(d, cid, sign)
         assert any(e.a[1] == e.b[1] == "p0" for e in d.edges)
         assert normal_form(d).is_zero()
@@ -498,28 +501,28 @@ def boundary_arc_ideal(draw, pts) -> IdealSpec | None:
 @st.composite
 def braid_closures(draw):
     """A braid word of 2-5 strands and at most 8 letters of random signs,
-    using every generator so that every position carries a crossing, with
-    shuffled crossing ids, and the surface it is closed on."""
+    using every generator so that every position carries a crossing, a
+    random order of its crossing tuple, and the surface it is closed on."""
     strands = draw(st.integers(2, 5))
     extra = draw(st.lists(st.integers(1, strands - 1), max_size=9 - strands))
     letters = draw(st.permutations(list(range(1, strands)) + extra))
     word = [draw(st.sampled_from((1, -1))) * i for i in letters]
-    ids = draw(st.permutations(range(len(word))))
-    return word, ids, draw(st.sampled_from((Disk(), Annulus())))
+    order = draw(st.permutations(range(len(word))))
+    return word, order, draw(st.sampled_from((Disk(), Annulus())))
 
 
 @st.composite
 def open_braids(draw):
     """A braid word of 2-5 strands and at most 12 letters of random signs,
-    with shuffled crossing ids, run across a marked disk; neighbouring
-    strands share a bottom or top point at random, so those points carry
-    several height slots.  Returns the open_braid arguments and a random
-    boundary-arc ideal of its disk (None when empty)."""
+    with a random order of its crossing tuple, run across a marked disk;
+    neighbouring strands share a bottom or top point at random, so those
+    points carry several height slots.  Returns the open_braid arguments
+    and a random boundary-arc ideal of its disk (None when empty)."""
     strands = draw(st.integers(2, 5))
     letter = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
     length = draw(st.integers(0, 12))
     word = draw(st.lists(letter, min_size=length, max_size=length))
-    ids = draw(st.permutations(range(len(word))))
+    order = draw(st.permutations(range(len(word))))
 
     def ends(side: str) -> list[str]:
         new_point = draw(st.lists(st.booleans(), min_size=strands - 1, max_size=strands - 1))
@@ -527,7 +530,7 @@ def open_braids(draw):
 
     bottom, top = ends("b"), ends("t")
     points = open_braid([], bottom, top).surface.points
-    return (word, bottom, top, ids), boundary_arc_ideal(draw, points)
+    return (word, bottom, top, order), boundary_arc_ideal(draw, points)
 
 
 class TestFrontierAgainstOracles:
@@ -545,8 +548,8 @@ class TestFrontierAgainstOracles:
     @settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @given(braid_closures())
     def test_closed_braids_match_scan_and_fold(self, case):
-        word, ids, surface = case
-        d = closed_braid(word, surface, ids)
+        word, order, surface = case
+        d = closed_braid(word, surface, order)
         got = resolve_all(d)
         assert got == scan_resolve(d) == fold_resolve(d)
         assert got == resolve_all(closed_braid(word, surface))
@@ -554,12 +557,12 @@ class TestFrontierAgainstOracles:
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(open_braids())
     def test_open_braids_match_scan_and_fold(self, case):
-        (word, bottom, top, ids), ideal = case
+        (word, bottom, top, order), ideal = case
 
         def resolve(d):
             return resolve_all(d) if ideal is None else resolve_all_mod(d, ideal)
 
-        d = open_braid(word, bottom, top, ids)
+        d = open_braid(word, bottom, top, order)
         got = resolve(d)
         if ideal is None:
             assert got == fold_resolve(d)
@@ -572,8 +575,8 @@ class TestFrontierAgainstOracles:
         # chord lists its lower end first by (index in surface.points,
         # height), the chords strictly increase in that order, and each
         # boundary end of the diagram is used exactly once.
-        (word, bottom, top, ids), ideal = case
-        d = open_braid(word, bottom, top, ids)
+        (word, bottom, top, order), ideal = case
+        d = open_braid(word, bottom, top, order)
         index = {p: i for i, p in enumerate(d.surface.points)}
         boundary = [(index[x[1]], x[2]) for e in d.edges for x in (e.a, e.b) if x[0] == "B"]
         assert len(set(boundary)) == len(boundary)
@@ -593,3 +596,55 @@ class TestFrontierAgainstOracles:
         got = resolve_all(d)
         assert [c for _, c in got.items()] == [q_power(1)]
         assert resolve_all_mod(d, IdealSpec.of_pairs([("b0", "t0")])).is_zero()
+
+
+class TestCrossingOrder:
+    """The crossing tuple is the resolution order; the value does not
+    depend on it.  The braid oracle tests resolve permuted tuples too."""
+
+    def test_unsorted_ids_resolve_like_their_sorted_twin(self):
+        # sigma_1^2 across the disk t0, t1, b1, b0: crossing y below x.
+        y, x = Crossing("y", (0, 2)), Crossing("x", (0, 2))
+        edges = frozenset(
+            {
+                make_edge(("B", "b0", 0), ("X", "y", 0)),
+                make_edge(("B", "b1", 0), ("X", "y", 3)),
+                make_edge(("X", "y", 1), ("X", "x", 0)),
+                make_edge(("X", "y", 2), ("X", "x", 3)),
+                make_edge(("X", "x", 1), ("B", "t0", 0)),
+                make_edge(("X", "x", 2), ("B", "t1", 0)),
+            }
+        )
+        surface = Disk(("t0", "t1", "b1", "b0"))
+        d, twin = Diagram(surface, (y, x), edges), Diagram(surface, (x, y), edges)
+        d.validate()
+        twin.validate()
+        assert d != twin
+        got = resolve_all(d)
+        assert got == resolve_all(twin) == scan_resolve(d)
+        assert got == resolve_all(open_braid([1, 1], ["b0", "b1"], ["t0", "t1"]))
+        ideal = IdealSpec.of_pairs([("t0", "t1")])
+        assert resolve_all_mod(d, ideal) == resolve_all_mod(twin, ideal)
+
+
+@st.composite
+def long_braid_words(draw):
+    """A braid word of 2-5 strands and 40-100 letters of random signs,
+    using every generator."""
+    strands = draw(st.integers(2, 5))
+    letter = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    extra = draw(st.lists(letter, min_size=41 - strands, max_size=101 - strands))
+    first = [draw(st.sampled_from((i, -i))) for i in range(1, strands)]
+    return draw(st.permutations(first + extra))
+
+
+class TestParity:
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(long_braid_words())
+    def test_long_closed_braids_at_q_plus_minus_one(self, word):
+        # Resolved in word order; the expected values come from the braid
+        # permutation, not from any tracer.
+        value = resolve_all(closed_braid(word), cap=len(word))
+        assert list(value) == [EMPTY_DISK]
+        coeff = value.coefficient(EMPTY_DISK)
+        assert (coeff.eval_q1(), at_minus_one(coeff)) == closure_parity(word)
