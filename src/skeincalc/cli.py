@@ -234,7 +234,7 @@ def _check_size(command: str, flag: str, value: int, limit: int) -> None:
 
 # Size limits of the report commands: at each, every built-in sequence stays
 # within 4 s and 150 MiB (Python 3.11, 2-CPU host).  minimality --n 1000 takes
-# 0.2 s and 17 MiB, arc-constraints --seq chebyshev --n 1000 0.5 s and 17 MiB,
+# 0.2 s and 17 MiB, arc-constraints --seq chebyshev --n 1000 0.1 s and 16 MiB,
 # audit --max-n 100 1.3 s and 20 MiB; minimality --seq power 2.4 s and 139 MiB.
 MAX_MINIMALITY_N = 1000
 MAX_ARC_N = 1000

@@ -16,7 +16,7 @@ from operator import index
 
 from ._record import Immutable
 
-_EXPONENT = re.compile(r"-?[0-9]+")
+_EXPONENT = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class LaurentPoly(Immutable):
@@ -178,19 +178,18 @@ class LaurentPoly(Immutable):
     def from_json_dict(cls, data: Mapping[str, int]) -> "LaurentPoly":
         """Inverse of to_json_dict; anything but exact integers is rejected.
 
-        Keys must be decimal integer strings naming distinct exponents and
-        values must be ints (not bools), so no input is rounded.
+        Keys must be canonical decimal integer strings, in ASCII digits
+        with no plus sign, space or leading zero and no "-0", so distinct
+        keys name distinct exponents; values must be ints (not bools), so
+        no input is rounded.
         """
         terms: dict[int, int] = {}
         for e, c in data.items():
             if not isinstance(e, str) or not _EXPONENT.fullmatch(e):
-                raise ValueError(f"exponent key {e!r} is not a decimal integer")
+                raise ValueError(f"exponent key {e!r} is not a canonical decimal integer")
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficient {c!r} of q^{e} is not an integer")
-            exponent = int(e)
-            if exponent in terms:
-                raise ValueError(f"exponent {exponent} appears twice")
-            terms[exponent] = c
+            terms[int(e)] = c
         return cls(terms)
 
     # -- rendering -----------------------------------------------------------

@@ -33,7 +33,7 @@ from __future__ import annotations
 from ._cap import DEFAULT_CROSSING_CAP
 from ._record import Record
 from .laurent import LaurentPoly, ONE, ZERO, q_power
-from .sequences import CHEBYSHEV, POWER, Sequence, product_in_basis, to_basis
+from .sequences import CHEBYSHEV, Sequence, product_in_basis, to_basis
 
 CONSISTENT = "consistent"
 CONTRADICTION = "contradiction"
@@ -184,7 +184,7 @@ def q_constraints(
     if k_max < 1:
         raise ValueError("k_max must be positive")
     k_max = min(k_max, n)
-    c = to_basis(seq[n], POWER)
+    c = seq[n].coeffs  # monic of degree n: c_0..c_n over the power basis
     table = tuple((f"q^-{k * n}*z_({k},{n})", c[k] * q_power(-k * n)) for k in range(1, n + 1))
     constraints = [
         Constraint(f"c_{k}", c[k], c[k].is_positive()) for k in range(0, k_max + 1)
@@ -205,7 +205,7 @@ def q_constraints(
     return ConstraintReport(
         subject=f"arc condition, seq={seq.name}, n={n}",
         a=None,
-        c=tuple(c),
+        c=c,
         table=table,
         constraints=tuple(constraints),
     )

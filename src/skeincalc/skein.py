@@ -439,7 +439,7 @@ def _resolve(
 ) -> SkeinVector:
     refuse_over_cap("diagram", d.crossing_count, cap)
     raw = _frontier_resolve(d, ideal)
-    return SkeinVector({elem: LaurentPoly(terms) for elem, terms in raw.items()})
+    return SkeinVector({elem: LaurentPoly._adopt(terms) for elem, terms in raw.items()})
 
 
 def resolve_all(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> SkeinVector:
@@ -483,14 +483,10 @@ def theta_bullet(p: UniPoly, *, cap: int = DEFAULT_CROSSING_CAP) -> SkeinVector:
     Linear in p: each power t^k contributes its coefficient times the full
     resolution of the arc over k core loops.
     """
-    acc: dict[BasisElement, LaurentPoly] = {}
-    for k, ck in enumerate(p.coeffs):
-        if ck.is_zero():
-            continue
-        for elem, c in _theta_over_cores(k, cap)._terms.items():
-            term = c * ck
-            acc[elem] = acc[elem] + term if elem in acc else term
-    return SkeinVector(acc)
+    return sum(
+        (_theta_over_cores(k, cap).scaled(ck) for k, ck in enumerate(p.coeffs) if ck),
+        SkeinVector(),
+    )
 
 
 def theta_transport_target(n: int) -> SkeinVector:

@@ -825,6 +825,28 @@ def random_sequence_file(rng) -> str:
     return rng.choice([*BAD_JSON, "7"])
 
 
+def negative_sequence_file(rng) -> str:
+    """The text of a sequence file that loads, with entries up to degree
+    10 (so audit --max-n 5 finds every product's terms) and a negative
+    constant term in one of the entries 1..5, which the report commands
+    refuse to call positive."""
+    entries = [[1]] + [[rng.randint(-3, 3) for _ in range(k)] + [1] for k in range(1, 11)]
+    entries[rng.randint(1, 5)][0] = -rng.randint(1, 3)
+    return json.dumps(entries)
+
+
+def failing_command_line(rng, seq_file: str) -> list[str]:
+    """A report command drawn to fail: audit or minimality on a file from
+    negative_sequence_file, or arc-constraints on it or on chebyshev,
+    whose T_n has a negative power-basis coefficient from n = 2 on."""
+    command = rng.choice(["arc-constraints", "minimality", "audit"])
+    seq = rng.choice(["chebyshev", seq_file]) if command == "arc-constraints" else seq_file
+    size = "--max-n" if command == "audit" else "--n"
+    argv = [command, "--seq", seq, size, str(rng.randint(2, 5))]
+    argv += ["--format", rng.choice(["text", "json", "tsv"])]
+    return argv + ["--q1"] if rng.random() < 0.3 else argv
+
+
 def run_in_process(argv: list[str]) -> tuple[int, str, str]:
     """_parser.main(argv) with its exit code, stdout and stderr; argparse's
     exits (--help, usage errors) count as the exit they carry."""
@@ -842,11 +864,15 @@ class TestExitCodeFuzz:
     def test_every_exit_is_zero_one_or_two(self, rng, tmp_path):
         # Any other exception escapes and fails the test; in the process
         # entry it would exit 1 with a traceback.
+        # The last 100 cases are drawn to fail, so exit 1 after a report
+        # is sampled often, not only by the few failures random lines hit.
         seq = tmp_path / "seq.json"
         codes = collections.Counter()
-        for _ in range(300):
-            seq.write_text(random_sequence_file(rng))
-            argv = random_command_line(rng, str(seq))
+        draws = [(random_sequence_file, random_command_line)] * 300
+        draws += [(negative_sequence_file, failing_command_line)] * 100
+        for sequence_file, command_line in draws:
+            seq.write_text(sequence_file(rng))
+            argv = command_line(rng, str(seq))
             code, out, err = run_in_process(argv)
             case = (argv, seq.read_text(), code)
             assert code in (0, 1, 2), case
@@ -855,3 +881,4 @@ class TestExitCodeFuzz:
             assert code != 2 or out == "", case  # a refusal prints no report
             codes[code] += 1
         assert set(codes) == {0, 1, 2}, codes  # the net reaches every exit
+        assert codes[1] >= 30, codes

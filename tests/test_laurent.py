@@ -160,6 +160,9 @@ class TestSerialization:
             {" 1": 1},
             {1: 1},
             {"1": 1, "01": 2},
+            {"007": 1},
+            {"-0": 1},
+            {"-07": 1},
         ],
     )
     def test_rejects_inexact_input(self, data):

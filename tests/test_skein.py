@@ -628,12 +628,12 @@ class TestCrossingOrder:
 
 
 @st.composite
-def long_braid_words(draw):
-    """A braid word of 2-5 strands and 40-100 letters of random signs,
-    using every generator."""
-    strands = draw(st.integers(2, 5))
+def long_braid_words(draw, min_strands=2, max_letters=100):
+    """A braid word of min_strands to 5 strands and 40 to max_letters
+    letters of random signs, using every generator."""
+    strands = draw(st.integers(min_strands, 5))
     letter = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
-    extra = draw(st.lists(letter, min_size=41 - strands, max_size=101 - strands))
+    extra = draw(st.lists(letter, min_size=41 - strands, max_size=max_letters + 1 - strands))
     first = [draw(st.sampled_from((i, -i))) for i in range(1, strands)]
     return draw(st.permutations(first + extra))
 
@@ -648,3 +648,83 @@ class TestParity:
         assert list(value) == [EMPTY_DISK]
         coeff = value.coefficient(EMPTY_DISK)
         assert (coeff.eval_q1(), at_minus_one(coeff)) == closure_parity(word)
+
+
+def closed_value(word: list[int], surface=Disk()) -> SkeinVector:
+    """The closure of word on surface, resolved in word order."""
+    return resolve_all(closed_braid(word, surface), cap=len(word))
+
+
+def draw_moves(data, word: list[int], strands: int):
+    """A place in word, a generator i with i + 1 a generator too unless
+    there are only 2 strands (so sigma_i sigma_(i+1) sigma_i fits), a
+    generator j at least 2 from i when the strands allow one (else None),
+    and three signs."""
+    at = data.draw(st.integers(0, len(word)))
+    i = data.draw(st.integers(1, max(strands - 2, 1)))
+    far = [j for j in range(1, strands) if abs(i - j) >= 2]
+    j = data.draw(st.sampled_from(far)) if far else None
+    return at, i, j, data.draw(st.tuples(*[st.sampled_from((1, -1))] * 3))
+
+
+def splice(word: list[int], at: int, *letters: int) -> list[int]:
+    return word[:at] + list(letters) + word[at:]
+
+
+class TestBraidMoves:
+    """Moves of the braid group that keep the bracket of a closure
+    (Kauffman, State models and the Jones polynomial, Topology 26, 1987),
+    and Markov stabilization, which multiplies it by a kink's framing
+    factor (Birman, Braids, Links, and Mapping Class Groups, 1974).  Both
+    sides of every move are resolved in word order, by the frontier."""
+
+    def test_one_letter_closure_is_the_kink(self):
+        # Fixes the factor stabilization multiplies by at -q^(+-3).
+        for sign in (1, -1):
+            assert resolve_all(closed_braid([sign])) == resolve_all(build_kink(sign))
+
+    @settings(max_examples=6, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_closed_braid_moves_keep_the_value(self, data):
+        word = data.draw(long_braid_words(min_strands=3, max_letters=120))
+        at, i, j, (s, t, u) = draw_moves(data, word, max(map(abs, word)) + 1)
+        for surface in (Disk(), Annulus()):
+            value = closed_value(word, surface)
+            assert closed_value(word[at:] + word[:at], surface) == value  # conjugation
+            assert closed_value(splice(word, at, s * i, -s * i), surface) == value  # R II
+            assert closed_value(splice(word, at, s * i, s * (i + 1), s * i), surface) == (
+                closed_value(splice(word, at, s * (i + 1), s * i, s * (i + 1)), surface)
+            )
+            if j is not None:
+                assert closed_value(splice(word, at, t * i, u * j), surface) == (
+                    closed_value(splice(word, at, u * j, t * i), surface)
+                )
+
+    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @given(long_braid_words(min_strands=3, max_letters=120), st.sampled_from((1, -1)))
+    def test_markov_stabilization_multiplies_by_the_kink_factor(self, word, sign):
+        # value(w sigma_s^+-1) = -q^(+-3) value(w) for s strands, and the
+        # one-letter closure is -q^(+-3) delta, so nothing is divided.
+        stabilized = closed_value(word + [sign * (max(map(abs, word)) + 1)])
+        assert stabilized.scaled(LOOP_VALUE) == closed_value(word).scaled(
+            resolve_all(closed_braid([sign])).coefficient(EMPTY_DISK)
+        )
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_open_braid_moves_hold_rel_boundary(self, data):
+        (word, bottom, top, _), ideal = data.draw(open_braids())
+        strands = len(bottom)
+        at, i, j, (s, t, u) = draw_moves(data, word, strands)
+
+        def value(w):
+            d = open_braid(w, bottom, top)
+            return resolve_all(d) if ideal is None else resolve_all_mod(d, ideal)
+
+        assert value(splice(word, at, s * i, -s * i)) == value(word)  # R II
+        if i + 1 < strands:
+            assert value(splice(word, at, s * i, s * (i + 1), s * i)) == (
+                value(splice(word, at, s * (i + 1), s * i, s * (i + 1)))
+            )
+        if j is not None:
+            assert value(splice(word, at, t * i, u * j)) == value(splice(word, at, u * j, t * i))
