@@ -6,7 +6,7 @@ The public names load on first use (PEP 562), so importing the package,
 or one submodule of it, compiles no other module."""
 
 _EXPORTS = {
-    "laurent": ("LaurentPoly", "ONE", "Q", "ZERO", "q_power"),
+    "laurent": ("LaurentPoly", "ONE", "ZERO", "q_power"),
     "sequences": (
         "CHEBYSHEV",
         "POWER",
@@ -14,7 +14,6 @@ _EXPORTS = {
         "UniPoly",
         "chebyshev",
         "from_basis",
-        "power",
         "product_in_basis",
         "to_basis",
     ),

@@ -216,7 +216,7 @@ def _cmd_verify_d1(args: argparse.Namespace) -> tuple[bool, IdentityReport]:
     report = IdentityReport(
         name="4-marked disk quotient",
         statement="x·y vanishes modulo the ideal of all four boundary arcs",
-        cases=(CaseResult("xy mod boundary", lhs, SkeinVector.zero()),),
+        cases=(CaseResult("xy mod boundary", lhs, SkeinVector()),),
     )
     return report.ok(), report
 

@@ -77,7 +77,8 @@ def load_sequence(spec: str) -> Sequence:
             data = json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise UsageError(f"cannot read sequence file {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Bad syntax, undecodable bytes and over-long ints are ValueErrors.
         raise UsageError(f"sequence file {spec!r} is not valid JSON: {exc}") from exc
 
     ends = [0, 0]  # the lowest and highest exponent read so far

@@ -57,10 +57,6 @@ class LaurentPoly(Immutable):
 
     # -- accessors ---------------------------------------------------------
 
-    def terms(self) -> dict[int, int]:
-        """A fresh {exponent: coefficient} dict."""
-        return dict(self._terms)
-
     def items(self) -> tuple[tuple[int, int], ...]:
         """Terms sorted by ascending exponent."""
         return tuple(sorted(self._terms.items()))
@@ -217,7 +213,6 @@ class LaurentPoly(Immutable):
 
 ZERO = LaurentPoly()
 ONE = LaurentPoly(1)
-Q = LaurentPoly({1: 1})
 
 
 def q_power(e: int) -> LaurentPoly:

@@ -116,11 +116,6 @@ class ConstraintReport(Record):
     def failed(self) -> list[Constraint]:
         return [x for x in self.constraints if not x.satisfied]
 
-    @property
-    def conclusion(self) -> str:
-        """The conclusion over R_+."""
-        return self.conclusion_for(False)
-
     def conclusion_for(self, q1: bool = False) -> str:
         """The one conclusion rule, with every positivity requirement and
         the constant a read at q = 1 when q1 is set.

@@ -236,11 +236,6 @@ def _chebyshev(n: int) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def power(n: int) -> UniPoly:
-    """The monomial t^n."""
-    return POWER[n]
-
-
 class Sequence:
     """A normalized sequence: seq[n] is monic of degree n and seq[0] = 1.
 

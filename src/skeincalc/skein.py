@@ -52,7 +52,7 @@ from .diagram import (
     build_xk_yn,
     build_zkn,
 )
-from .laurent import LaurentPoly, ONE, q_power
+from .laurent import LaurentPoly, q_power
 
 if TYPE_CHECKING:
     from .sequences import UniPoly
@@ -125,9 +125,6 @@ class DiskMatching(Record):
         inner = ",".join(f"({end(a, sa)},{end(b, sb)})" for a, sa, b, sb in self.chords)
         return f"chords[{inner}]"
 
-    def chord_pairs(self) -> list[tuple[str, str]]:
-        return [(a, b) for a, _, b, _ in self.chords]
-
 
 BasisElement = AnnulusPower | AioArc | DiskMatching
 
@@ -155,14 +152,6 @@ class SkeinVector(Immutable):
                     clean[b] = c
         object.__setattr__(self, "_terms", clean)
 
-    @classmethod
-    def zero(cls) -> "SkeinVector":
-        return cls()
-
-    @classmethod
-    def single(cls, elem: BasisElement, coeff: LaurentPoly = ONE) -> "SkeinVector":
-        return cls({elem: coeff})
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -185,11 +174,7 @@ class SkeinVector(Immutable):
         out = dict(self._terms)
         for b, c in other._terms.items():
             s = out.get(b)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(b, None)
-            else:
-                out[b] = s
+            out[b] = c if s is None else s + c
         return SkeinVector(out)
 
     def __sub__(self, other: "SkeinVector") -> "SkeinVector":

@@ -25,9 +25,9 @@ from skeincalc import (
     StructureError,
 )
 from skeincalc.diagram import Attachment, Edge, _diagram, make_edge, smoothing_pairs
-from skeincalc.laurent import ZERO, q_power
+from skeincalc.laurent import ONE, ZERO, q_power
 from skeincalc.sequences import UniPoly
-from skeincalc.skein import DiskMatching, _reduce_state
+from skeincalc.skein import AnnulusPower, DiskMatching, _reduce_state
 
 
 def resolve_crossings(d: Diagram, signs: dict[str, int]) -> Diagram:
@@ -163,7 +163,7 @@ def scan_resolve(d: Diagram, ideal: IdealSpec | None = None) -> SkeinVector:
             continue
         elem = _reduce_state(d.surface, arcs, loops.count(1))
         if isinstance(elem, DiskMatching) and any(
-            tuple(sorted(pair)) in gens for pair in elem.chord_pairs()
+            tuple(sorted((a, b))) in gens for a, _, b, _ in elem.chords
         ):
             continue
         weight = q_power(2 * bin(mask).count("1") - c) * LOOP_VALUE ** loops.count(0)
@@ -282,7 +282,66 @@ def closure_parity(word: list[int]) -> tuple[int, int]:
 
 def at_minus_one(p: LaurentPoly) -> int:
     """p evaluated at q = -1; LaurentPoly.eval_q1 gives q = 1."""
-    return sum(c * (-1) ** e for e, c in p.terms().items())
+    return sum(c * (-1) ** e for e, c in p.items())
+
+
+def tl_closed_braid(word: list[int], surface=Disk()) -> SkeinVector:
+    """The closure of word on the unmarked disk or the annulus, as
+    closed_braid draws it, evaluated in the Temperley-Lieb algebra TL_s
+    (Jones, Hecke algebra representations of braid groups and link
+    polynomials, Ann. Math. 126, 1987): no diagram and no crossing is
+    built, so nothing is shared with the frontier resolver.
+
+    A basis element of TL_s is a planar perfect matching of 2s points:
+    bottom positions 1..s are points 0..s-1 and top positions s..2s-1.
+    Letters act from the top in word order, sigma_i as q + q^-1 e_i and
+    its inverse as q^-1 + q e_i, signs that the one-letter closures
+    (the kinks) fix.  Closing joins top position j to bottom position j.
+    On the disk every loop is worth delta = -q^2 - q^-2; on the annulus
+    each closure edge goes once around the core, so a loop of winding 0
+    is worth delta and one of winding +-1 is a factor of z.
+    """
+    s = max(map(abs, word)) + 1
+    state = {tuple(range(s, 2 * s)) + tuple(range(s)): ONE}
+    for letter in word:
+        one, e = (1, -1) if letter > 0 else (-1, 1)
+        a, b = s + abs(letter) - 1, s + abs(letter)
+        nxt: dict[tuple[int, ...], LaurentPoly] = {}
+        for m, c in state.items():
+            nxt[m] = nxt.get(m, ZERO) + c.shifted(one)
+            x, y = m[a], m[b]
+            if x == b:  # m joins top i to top i+1, so e_i closes a loop
+                nxt[m] = nxt.get(m, ZERO) - c.shifted(e + 2) - c.shifted(e - 2)
+            else:
+                joined = list(m)
+                joined[x], joined[y], joined[a], joined[b] = y, x, b, a
+                key = tuple(joined)
+                nxt[key] = nxt.get(key, ZERO) + c.shifted(e)
+        state = {m: c for m, c in nxt.items() if c}
+    delta = LaurentPoly({2: -1, -2: -1})
+    out: dict = {}
+    for m, c in state.items():
+        seen, trivial, essential = set(), 0, 0
+        for start in range(2 * s):
+            if start in seen:
+                continue
+            p, winding = start, 0
+            while True:
+                r = m[p]
+                seen.update((p, r))
+                # The closure edge from top position j goes down to bottom j.
+                p, winding = (r - s, winding + 1) if r >= s else (r + s, winding - 1)
+                if p == start:
+                    break
+            if winding == 0 or isinstance(surface, Disk):
+                trivial += 1
+            elif abs(winding) == 1:
+                essential += 1
+            else:
+                raise StructureError(f"a closed TL loop winds {winding} times")
+        elem = DiskMatching((), ()) if isinstance(surface, Disk) else AnnulusPower(essential)
+        out[elem] = out.get(elem, ZERO) + c * delta**trivial
+    return SkeinVector(out)
 
 
 def enumerate_states(d: Diagram):
@@ -316,9 +375,9 @@ def ref_addmul(acc: list[dict[int, int]], shift: int, c: LaurentPoly, row, sign:
     short = shift + len(row) - len(acc)
     if short > 0:
         acc.extend({} for _ in range(short))
-    for e1, v1 in c.terms().items():
+    for e1, v1 in c.items():
         for slot, r in zip(acc[shift:], row):
-            for e2, v2 in r.terms().items():
+            for e2, v2 in r.items():
                 slot[e1 + e2] = slot.get(e1 + e2, 0) + sign * v1 * v2
 
 
@@ -361,7 +420,7 @@ def ref_mul(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def ref_to_basis(p: UniPoly, seq) -> list[LaurentPoly]:
-    return ref_reduce([c.terms() for c in p.coeffs], seq)
+    return ref_reduce([dict(c.items()) for c in p.coeffs], seq)
 
 
 def ref_from_basis(coeffs, seq) -> UniPoly:

@@ -93,7 +93,7 @@ def test_criterion_5_loop_minimality():
     from skeincalc.positivity import UNIT, loop_product_expansion
 
     for n in range(1, 11):
-        assert minimality_constraints(CHEBYSHEV, n).conclusion == CONSISTENT
+        assert minimality_constraints(CHEBYSHEV, n).conclusion_for() == CONSISTENT
     shifted = Sequence.custom({1: UniPoly([1, 1])}, base=CHEBYSHEV, name="t+1")
     # Refutation of the shifted sequence.  The advertised violated element
     # -(q + q^-1) is the constant term of the formal expansion with
@@ -104,12 +104,12 @@ def test_criterion_5_loop_minimality():
         q_power(1) + q_power(-1)
     )
     rep1 = minimality_constraints(shifted, 1)
-    assert rep1.conclusion == CONTRADICTION
+    assert rep1.conclusion_for() == CONTRADICTION
     (bad1,) = rep1.failed()
     assert bad1.label == "d"
     assert bad1.value == LaurentPoly(-1) - (q_power(1) + q_power(-1))
     rep2 = minimality_constraints(shifted, 2)
-    assert rep2.conclusion == CONTRADICTION
+    assert rep2.conclusion_for() == CONTRADICTION
     (bad2,) = rep2.failed()
     assert bad2.value == -(q_power(2) + q_power(-2))
     assert bad2.value.eval_q1() == -2
@@ -118,11 +118,11 @@ def test_criterion_5_loop_minimality():
 
 def test_criterion_6_arc_condition():
     rep = q_constraints(Sequence.custom({2: chebyshev(2)}, base=POWER, name="T2"), 2)
-    assert rep.conclusion == CONTRADICTION
+    assert rep.conclusion_for() == CONTRADICTION
     assert any(x.label == "c_0" and x.value == LaurentPoly(-2) for x in rep.failed())
     for n in range(1, 5):
         rep = q_constraints(POWER, n, diagram_check=True)
-        assert rep.conclusion == CONSISTENT
+        assert rep.conclusion_for() == CONSISTENT
         assert all(x.satisfied for x in rep.constraints if x.kind == "identity")
     report(6, "Q_2 = T_2 refuted (c_0 = -2); power sequence passes with diagram cross-check")
 
@@ -132,8 +132,8 @@ def test_criterion_7_framing_and_chirality():
     minus_q3 = LaurentPoly({3: -1})
     plus = resolve_all(build_kink(1))
     minus = resolve_all(build_kink(-1))
-    assert plus == SkeinVector.single(empty, minus_q3 * LOOP_VALUE)
-    assert minus == SkeinVector.single(empty, LaurentPoly({-3: -1}) * LOOP_VALUE)
+    assert plus == SkeinVector({empty: minus_q3 * LOOP_VALUE})
+    assert minus == SkeinVector({empty: LaurentPoly({-3: -1}) * LOOP_VALUE})
     # The n = 1 transport case pins the global smoothing chirality: the
     # mirrored rule would swap theta_1 and theta_-1 and fail here.
     from skeincalc.skein import AioArc

@@ -68,7 +68,7 @@ def assert_same(got, want):
 
 def assert_no_stored_zero(coeffs):
     for c in coeffs:
-        assert 0 not in c.terms().values()
+        assert 0 not in dict(c.items()).values()
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)

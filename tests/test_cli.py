@@ -421,6 +421,20 @@ class TestReports:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "repeats the key" in err
 
+    @pytest.mark.parametrize(
+        "data",
+        [b'[[1], [0, 1], [\xff, 0, 1]]', b"[[1], [" + b"7" * 4301 + b", 1]]", b"[" * 100_000],
+        ids=["not-utf8", "int-over-4300-digits", "nested-100000-deep"],
+    )
+    def test_undecodable_sequence_file_is_two(self, capsys, tmp_path, data):
+        # json.load raises UnicodeDecodeError, ValueError and RecursionError
+        # here, none of them a JSONDecodeError.
+        seq = tmp_path / "bad.json"
+        seq.write_bytes(data)
+        code, out, err = run_cli(capsys, "minimality", "--seq", str(seq), "--n", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: sequence file") and "Traceback" not in err
+
     def test_bare_list_sequence_with_laurent_coefficients(self, capsys, tmp_path):
         # P_2 = t^2 + (q + q^-1) has Chebyshev coordinates (2 + q + q^-1, 0, 1),
         # a nonnegative mix, so the loop condition is consistent.
@@ -574,9 +588,11 @@ class TestStartup:
         # dataclasses pulls in inspect and ast: tens of milliseconds on every
         # command, measured with python -X importtime.  Every source line is
         # compiled on every command too, so the test-only oracles stay out.
+        # Only the modules the import adds count: site may load inspect and
+        # ast before skeincalc (a .pth file importing importlib.resources).
         code = (
-            "import skeincalc.cli, skeincalc.skein, sys; "
-            "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)), "
+            "import sys; before = set(sys.modules); import skeincalc.cli, skeincalc.skein; "
+            "print(sorted({'dataclasses', 'inspect', 'ast'} & (set(sys.modules) - before)), "
             "sorted({'_scan_range', '_Scanner', 'classify_components', 'check_jobs'} "
             "& set(vars(sys.modules['skeincalc.skein']))), "
             "sorted({'RunConfig', 'config_from_args'} & set(vars(sys.modules['skeincalc.cli']))"

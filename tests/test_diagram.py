@@ -20,6 +20,7 @@ from skeincalc.diagram import (
     make_edge,
     smoothing_pairs,
 )
+from skeincalc.laurent import ONE
 from skeincalc.skein import AioArc, SkeinVector, normal_form
 
 
@@ -171,11 +172,11 @@ class TestResolveCrossing:
         # arc-over-core crossing leaves the arc winding +1.
         d = resolve_crossing(build_theta_over_cores(1), "c1", +1)
         assert d.loops == ()
-        assert normal_form(d) == SkeinVector.single(AioArc(1))
+        assert normal_form(d) == SkeinVector({AioArc(1): ONE})
 
     def test_theta_negative_gives_winding_minus_one(self):
         d = resolve_crossing(build_theta_over_cores(1), "c1", -1)
-        assert normal_form(d) == SkeinVector.single(AioArc(-1))
+        assert normal_form(d) == SkeinVector({AioArc(-1): ONE})
 
     def test_zkn_equals_negative_fold(self):
         for n in range(1, 9):

@@ -57,14 +57,14 @@ class TestMinimality:
     def test_chebyshev_consistent_to_10(self):
         for n in range(1, 11):
             report = minimality_constraints(CHEBYSHEV, n)
-            assert report.conclusion == CONSISTENT, n
+            assert report.conclusion_for() == CONSISTENT, n
             assert not report.failed()
 
     def test_plus_one_contradiction_level_one(self):
         # At n = 1 the constant Chebyshev coefficient of P_1 = t + 1 is the
         # shift itself, so d picks up an extra -a*c_0 = -1.
         report = minimality_constraints(plus_one_sequence(), 1)
-        assert report.conclusion == CONTRADICTION
+        assert report.conclusion_for() == CONTRADICTION
         bad = report.failed()
         assert len(bad) == 1
         assert bad[0].label == "d"
@@ -75,7 +75,7 @@ class TestMinimality:
         # At n = 2 the tested entry is T_2 itself, so the only obstruction
         # is the pure d term, worth -2 at q = 1.
         report = minimality_constraints(plus_one_sequence(), 2)
-        assert report.conclusion == CONTRADICTION
+        assert report.conclusion_for() == CONTRADICTION
         bad = report.failed()
         assert len(bad) == 1
         assert bad[0].label == "d"
@@ -86,18 +86,18 @@ class TestMinimality:
         # t^2 = T_2 + 2*T_0: nonnegative mix, so the loop-side necessary
         # condition cannot reject the power sequence.
         report = minimality_constraints(POWER, 2)
-        assert report.conclusion == CONSISTENT
+        assert report.conclusion_for() == CONSISTENT
         assert report.a == ZERO
         assert report.c == (LaurentPoly(2), ZERO, ONE)
 
     def test_negative_chebyshev_mix_fails(self):
         seq = Sequence.custom({2: UniPoly([1, 0, 1])}, base=CHEBYSHEV, name="t^2+1")
         # t^2 + 1 = T_2 + 3, still a positive mix: consistent.
-        assert minimality_constraints(seq, 2).conclusion == CONSISTENT
+        assert minimality_constraints(seq, 2).conclusion_for() == CONSISTENT
         seq = Sequence.custom({2: UniPoly([-3, 0, 1])}, base=CHEBYSHEV, name="t^2-3")
         # t^2 - 3 = T_2 - 1: the P_1(z') coefficient is -1.
         report = minimality_constraints(seq, 2)
-        assert report.conclusion == CONTRADICTION
+        assert report.conclusion_for() == CONTRADICTION
         assert any(x.label == "P_1(z')" for x in report.failed())
 
     def test_d_pair_present_even_when_zero(self):
@@ -123,7 +123,7 @@ class TestMinimality:
                 table[n] = from_basis(coeffs, CHEBYSHEV)
             seq = Sequence.custom(table, base=CHEBYSHEV, name="shifted")
             report = minimality_constraints(seq, n)
-            assert report.conclusion == CONTRADICTION
+            assert report.conclusion_for() == CONTRADICTION
             assert [x.label for x in report.failed()] == ["d"]
             d = next(x.value for x in report.constraints if x.label == "d")
             assert not d.is_zero()
@@ -133,25 +133,25 @@ class TestMinimality:
 class TestArcConstraints:
     def test_power_sequence_consistent(self):
         report = q_constraints(POWER, 2)
-        assert report.conclusion == CONSISTENT
+        assert report.conclusion_for() == CONSISTENT
         assert report.c == (ZERO, ZERO, ONE)
 
     def test_shifted_q2_fails(self):
         seq = Sequence.custom({2: UniPoly([-1, 0, 1])}, base=POWER, name="t^2-1")
         report = q_constraints(seq, 2)
-        assert report.conclusion == CONTRADICTION
+        assert report.conclusion_for() == CONTRADICTION
         assert any(x.label == "c_0" and x.value == LaurentPoly(-1) for x in report.failed())
 
     def test_chebyshev_is_not_an_arc_sequence(self):
         report = q_constraints(CHEBYSHEV, 2)
-        assert report.conclusion == CONTRADICTION
+        assert report.conclusion_for() == CONTRADICTION
         bad = {x.label: x.value for x in report.failed()}
         assert bad == {"c_0": LaurentPoly(-2)}
 
     def test_diagram_check_agrees(self):
         for n in range(1, 4):
             report = q_constraints(POWER, n, diagram_check=True)
-            assert report.conclusion == CONSISTENT
+            assert report.conclusion_for() == CONSISTENT
             identities = [x for x in report.constraints if x.kind == "identity"]
             assert len(identities) == n
             assert all(x.satisfied for x in identities)
@@ -249,7 +249,7 @@ class TestReportShape:
     def test_wobble_reports_change_conclusion_at_q1(self):
         for name in ("loop wobble", "arc wobble"):
             report = REPORTS[name]()
-            assert report.conclusion == CONTRADICTION, name
+            assert report.conclusion_for() == CONTRADICTION, name
             assert report.conclusion_for(q1=True) == CONSISTENT, name
             assert not report.ok(), name
             assert report.ok(q1=True), name

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -16,6 +16,7 @@ from conftest import (
     open_braid,
     resolve_crossing,
     scan_resolve,
+    tl_closed_braid,
 )
 from skeincalc.diagram import (
     Annulus,
@@ -35,7 +36,7 @@ from skeincalc.diagram import (
 from skeincalc import skein
 from skeincalc._run import vector_json
 from skeincalc.laurent import LaurentPoly, ONE, q_power
-from skeincalc.sequences import UniPoly, chebyshev, power
+from skeincalc.sequences import POWER, UniPoly, chebyshev
 from skeincalc.skein import (
     AioArc,
     AnnulusPower,
@@ -68,17 +69,17 @@ class TestClassify:
     def test_core_stack(self):
         d = build_core_stack(2)
         assert d.loops == (1, 1) and not d.edges
-        assert normal_form(d) == SkeinVector.single(AnnulusPower(2), ONE)
+        assert normal_form(d) == SkeinVector({AnnulusPower(2): ONE})
 
     def test_theta_zero(self):
-        assert normal_form(build_theta_over_cores(0)) == SkeinVector.single(AioArc(0), ONE)
+        assert normal_form(build_theta_over_cores(0)) == SkeinVector({AioArc(0): ONE})
 
     def test_zkn_11(self):
         d = build_zkn(1, 1)
         assert d.loops == ()
         ((elem, coeff),) = normal_form(d).items()
         assert coeff == ONE
-        assert sorted(elem.chord_pairs()) == [("p0", "q1"), ("p1", "p2")]
+        assert sorted((a, b) for a, _, b, _ in elem.chords) == [("p0", "q1"), ("p1", "p2")]
 
     def test_rejects_crossings(self):
         with pytest.raises(ValueError, match="crossingless"):
@@ -88,12 +89,10 @@ class TestClassify:
 class TestNormalForm:
     def test_trivial_loop_scalar(self):
         d = Diagram(surface=Annulus(), loops=(0,))
-        assert normal_form(d) == SkeinVector.single(AnnulusPower(0), LOOP_VALUE)
+        assert normal_form(d) == SkeinVector({AnnulusPower(0): LOOP_VALUE})
 
     def test_core_stack_is_basis(self):
-        assert normal_form(build_core_stack(3)) == SkeinVector.single(
-            AnnulusPower(3), ONE
-        )
+        assert normal_form(build_core_stack(3)) == SkeinVector({AnnulusPower(3): ONE})
 
     def test_cap_kills_disk_diagram(self):
         # Negative at the first column, positive where the second vertical
@@ -150,15 +149,11 @@ class TestResolveAll:
         delta = LOOP_VALUE
         plus = resolve_all(build_kink(1))
         minus = resolve_all(build_kink(-1))
-        assert plus == SkeinVector.single(EMPTY_DISK, q_power(3) * LaurentPoly(-1) * delta)
-        assert minus == SkeinVector.single(
-            EMPTY_DISK, q_power(-3) * LaurentPoly(-1) * delta
-        )
+        assert plus == SkeinVector({EMPTY_DISK: q_power(3) * LaurentPoly(-1) * delta})
+        assert minus == SkeinVector({EMPTY_DISK: q_power(-3) * LaurentPoly(-1) * delta})
 
     def test_crossingless_passthrough(self):
-        assert resolve_all(build_core_stack(2)) == SkeinVector.single(
-            AnnulusPower(2), ONE
-        )
+        assert resolve_all(build_core_stack(2)) == SkeinVector({AnnulusPower(2): ONE})
 
     def test_matches_fold_resolver(self):
         # The frontier against the independent single-crossing fold,
@@ -180,7 +175,7 @@ class TestResolveAll:
         d = build_xk_yn(2, 2)
         states = list(enumerate_states(d))
         assert len(states) == 2 ** d.crossing_count
-        total = SkeinVector.zero()
+        total = SkeinVector()
         for signs, state in states:
             j = sum(1 for s in signs if s > 0)
             weight = q_power(2 * j - len(signs))
@@ -336,13 +331,13 @@ class TestThetaBullet:
         assert theta_bullet(chebyshev(2)) == theta_transport_target(2)
 
     def test_constant(self):
-        assert theta_bullet(UniPoly([1])) == SkeinVector.single(AioArc(0), ONE)
+        assert theta_bullet(UniPoly([1])) == SkeinVector({AioArc(0): ONE})
 
     def test_power_two(self):
         expected = SkeinVector(
             {AioArc(2): q_power(2), AioArc(-2): q_power(-2), AioArc(0): LaurentPoly(2)}
         )
-        assert theta_bullet(power(2)) == expected
+        assert theta_bullet(POWER[2]) == expected
 
     def test_transport_identity_through_6(self):
         for n in range(1, 7):
@@ -368,13 +363,13 @@ class TestThetaBullet:
     def test_cap_refusal_is_not_cached(self):
         for _ in range(2):
             with pytest.raises(CrossingCapExceeded):
-                theta_bullet(power(3), cap=2)
-        assert theta_bullet(power(3), cap=3) == theta_bullet(power(3))
+                theta_bullet(POWER[3], cap=2)
+        assert theta_bullet(POWER[3], cap=3) == theta_bullet(POWER[3])
 
     def test_laurent_coefficients_pass_through(self):
         p = UniPoly([LaurentPoly({2: 3}), 0, ONE])
         got = theta_bullet(p)
-        want = theta_bullet(power(2)) + SkeinVector.single(AioArc(0), LaurentPoly({2: 3}))
+        want = theta_bullet(POWER[2]) + SkeinVector({AioArc(0): LaurentPoly({2: 3})})
         assert got == want
 
 
@@ -384,17 +379,17 @@ class TestSkeinVector:
         assert v.is_zero() and len(v) == 0
 
     def test_add_cancels(self):
-        v = SkeinVector.single(AioArc(1), q_power(1))
+        v = SkeinVector({AioArc(1): q_power(1)})
         assert (v - v).is_zero()
 
     def test_canonical_order(self):
-        v = theta_transport_target(2) + SkeinVector.single(AioArc(0), ONE)
+        v = theta_transport_target(2) + SkeinVector({AioArc(0): ONE})
         assert [b.n for b in v] == [2, 0, -2]
 
     def test_str_examples(self):
         assert str(theta_transport_target(1)) == "q·theta_1 + q^-1·theta_-1"
-        assert str(SkeinVector.zero()) == "0"
-        assert str(SkeinVector.single(AnnulusPower(3), ONE)) == "z^3"
+        assert str(SkeinVector()) == "0"
+        assert str(SkeinVector({AnnulusPower(3): ONE})) == "z^3"
 
     def test_json(self):
         v = theta_transport_target(1)
@@ -627,19 +622,29 @@ class TestCrossingOrder:
         assert resolve_all_mod(d, ideal) == resolve_all_mod(twin, ideal)
 
 
+# Shrinking re-resolves closures of up to 200 letters, and a fault that
+# also stops frontier states from merging can keep it running for minutes;
+# the failing word is printed without it.
+LONG_WORD_PHASES = [Phase.generate]
+
+
 @st.composite
-def long_braid_words(draw, min_strands=2, max_letters=100):
-    """A braid word of min_strands to 5 strands and 40 to max_letters
-    letters of random signs, using every generator."""
-    strands = draw(st.integers(min_strands, 5))
+def long_braid_words(draw, min_strands=2, max_letters=100, max_strands=5, min_letters=40):
+    """A braid word of min_strands to max_strands strands and min_letters
+    to max_letters letters of random signs, using every generator."""
+    strands = draw(st.integers(min_strands, max_strands))
     letter = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
-    extra = draw(st.lists(letter, min_size=41 - strands, max_size=max_letters + 1 - strands))
+    extra = draw(
+        st.lists(letter, min_size=min_letters + 1 - strands, max_size=max_letters + 1 - strands)
+    )
     first = [draw(st.sampled_from((i, -i))) for i in range(1, strands)]
     return draw(st.permutations(first + extra))
 
 
 class TestParity:
-    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @settings(
+        max_examples=20, derandomize=True, deadline=None, database=None, phases=LONG_WORD_PHASES
+    )
     @given(long_braid_words())
     def test_long_closed_braids_at_q_plus_minus_one(self, word):
         # Resolved in word order; the expected values come from the braid
@@ -683,7 +688,9 @@ class TestBraidMoves:
         for sign in (1, -1):
             assert resolve_all(closed_braid([sign])) == resolve_all(build_kink(sign))
 
-    @settings(max_examples=6, derandomize=True, deadline=None, database=None)
+    @settings(
+        max_examples=6, derandomize=True, deadline=None, database=None, phases=LONG_WORD_PHASES
+    )
     @given(st.data())
     def test_closed_braid_moves_keep_the_value(self, data):
         word = data.draw(long_braid_words(min_strands=3, max_letters=120))
@@ -700,7 +707,9 @@ class TestBraidMoves:
                     closed_value(splice(word, at, u * j, t * i), surface)
                 )
 
-    @settings(max_examples=10, derandomize=True, deadline=None, database=None)
+    @settings(
+        max_examples=10, derandomize=True, deadline=None, database=None, phases=LONG_WORD_PHASES
+    )
     @given(long_braid_words(min_strands=3, max_letters=120), st.sampled_from((1, -1)))
     def test_markov_stabilization_multiplies_by_the_kink_factor(self, word, sign):
         # value(w sigma_s^+-1) = -q^(+-3) value(w) for s strands, and the
@@ -728,3 +737,26 @@ class TestBraidMoves:
             )
         if j is not None:
             assert value(splice(word, at, t * i, u * j)) == value(splice(word, at, u * j, t * i))
+
+
+class TestTemperleyLieb:
+    """Closed braids evaluated in the Temperley-Lieb algebra by
+    conftest.tl_closed_braid, which builds no diagram, against the
+    frontier in word order.  On 6 strands, one more than the braid-move
+    tests draw, the frontier keeps up to 6 paths open as loops close."""
+
+    def test_one_letter_closures_are_the_kinks(self):
+        for sign in (1, -1):
+            assert tl_closed_braid([sign]) == resolve_all(build_kink(sign))
+
+    @pytest.mark.parametrize("strands", [3, 4, 5, 6])
+    @settings(
+        max_examples=3, derandomize=True, deadline=None, database=None, phases=LONG_WORD_PHASES
+    )
+    @given(data=st.data())
+    def test_long_closed_braids_match_the_frontier(self, strands, data):
+        # The length is drawn first, so long words come up as often as short.
+        n = data.draw(st.integers(40, 200))
+        word = data.draw(long_braid_words(strands, n, max_strands=strands, min_letters=n))
+        for surface in (Disk(), Annulus()):
+            assert tl_closed_braid(word, surface) == closed_value(word, surface)
