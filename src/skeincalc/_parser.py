@@ -104,6 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="discard states landing in this boundary-arc ideal",
     )
     common(p)
+    # CPython 3.13 wraps the generated top-level usage line differently, so
+    # it is written out as 3.10-3.12 wrap it: --help and usage errors print
+    # the same bytes on every supported Python.  Subcommand usage lines
+    # took their prefix when add_subparsers ran, before this.
+    indent = " " * len("usage: skeincalc ")
+    parser.usage = f"%(prog)s [-h]\n{indent}{{{','.join(sub.choices)}}}\n{indent}..."
     return parser
 
 

@@ -339,5 +339,15 @@ def run(args: argparse.Namespace) -> int:
     except CrossingCapExceeded as exc:
         print(f"refusing to expand: {exc}", file=sys.stderr)
         return 2
-    print(emit_report(report, args.fmt, args.q1))
+    # Every input is parsed by now, under CPython's limit on int/str
+    # conversion (3.10.7 on), so the report prints exact integers of any
+    # length; the limit comes back for the caller.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(emit_report(report, args.fmt, args.q1))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0 if ok else 1

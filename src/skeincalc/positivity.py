@@ -24,8 +24,8 @@ request.
 
 Reports never claim a sequence IS positive -- they certify violations or
 consistency of these necessary conditions only.  They are plain data:
-ConstraintReport.conclusion_for is the one conclusion rule, and cli.py
-renders every format of these reports.
+in_cone is the one cone rule, ConstraintReport.conclusion_for the one
+conclusion rule, and cli.py renders every format of these reports.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .sequences import CHEBYSHEV, Sequence, product_in_basis, to_basis
 
 CONSISTENT = "consistent"
 CONTRADICTION = "contradiction"
-FORCES_A_ZERO = "forces a=0"
 
 
 # Labels of the loop-product expansion's basis symbols.
@@ -46,16 +45,11 @@ PN_Z = "P_n(z)"
 P1_ZPRIME = "P_1(z')"
 
 
-def p1_zpos(k: int) -> str:
-    if k < 1:
-        raise ValueError("winding symbols need k >= 1")
+def p1_z(k: int) -> str:
+    """The label of the transported curve z_(1,k), for k != 0."""
+    if k == 0:
+        raise ValueError("winding symbols need k != 0")
     return f"P_1(z_(1,{k}))"
-
-
-def p1_zneg(k: int) -> str:
-    if k < 1:
-        raise ValueError("winding symbols need k >= 1")
-    return f"P_1(z_(1,-{k}))"
 
 
 def loop_product_expansion(
@@ -75,8 +69,8 @@ def loop_product_expansion(
     terms = [(PN_Z, a), (P1_ZPRIME, c[0])]
     d = -(a * c[0])
     for k in range(1, n + 1):
-        terms.append((p1_zpos(k), c[k] * q_power(k)))
-        terms.append((p1_zneg(k), c[k] * q_power(-k)))
+        terms.append((p1_z(k), c[k] * q_power(k)))
+        terms.append((p1_z(-k), c[k] * q_power(-k)))
         d = d - a * c[k] * (q_power(k) + q_power(-k))
     return {sym: val for sym, val in [(UNIT, d), *terms] if not val.is_zero()}
 
@@ -90,15 +84,16 @@ def in_cone(values: list[LaurentPoly], q1: bool = False) -> bool:
 
 
 class Constraint(Record):
-    """One requirement: either a value that must lie in R_+, or an
-    engine-checked identity (kind "identity", value unused)."""
+    """One requirement: a value that must lie in R_+, judged from the value
+    alone, or an engine-checked identity (kind "identity", value unused)
+    whose verdict is stored in satisfied."""
 
-    __slots__ = ("label", "value", "satisfied", "kind")  # str, LaurentPoly, bool, str
-    _defaults = {"kind": "positivity"}
+    __slots__ = ("label", "value", "satisfied", "kind")  # str, LaurentPoly, bool | None, str
+    _defaults = {"satisfied": None, "kind": "positivity"}
 
     def passes(self, q1: bool = False) -> bool:
         """An identity must hold; a value must lie in R_+, or at q = 1 in Z_+."""
-        if self.kind == "identity" or not q1:
+        if self.kind == "identity":
             return self.satisfied
         return in_cone([self.value], q1)
 
@@ -114,23 +109,18 @@ class ConstraintReport(Record):
     __slots__ = ("subject", "a", "c", "table", "constraints")
 
     def failed(self) -> list[Constraint]:
-        return [x for x in self.constraints if not x.satisfied]
-
-    def conclusion_for(self, q1: bool = False) -> str:
-        """The one conclusion rule, with every positivity requirement and
-        the constant a read at q = 1 when q1 is set.
-
-        Over R_+ the forces-a=0 branch is unreachable for concrete inputs:
-        a nonzero a makes the constant term fail one of d and -d first.
-        """
-        if not all(x.passes(q1) for x in self.constraints):
-            return CONTRADICTION
-        if self.a is not None and (self.a.eval_q1() != 0 if q1 else not self.a.is_zero()):
-            return FORCES_A_ZERO
-        return CONSISTENT
+        return [x for x in self.constraints if not x.passes()]
 
     def ok(self, q1: bool = False) -> bool:
-        return self.conclusion_for(q1) == CONSISTENT
+        return all(x.passes(q1) for x in self.constraints)
+
+    def conclusion_for(self, q1: bool = False) -> str:
+        """The one conclusion rule: consistent exactly when every constraint
+        passes.  A loop report needs no verdict on a: once all pass, d = 0,
+        and d = -a*(c_0 + sum_k c_k*(q^k + q^-k)) has a factor holding the
+        monic q^n + q^-n, which positive c_k cannot cancel (at q = 1 it is
+        at least 2), so a = 0, or a(1) = 0 with q1."""
+        return CONSISTENT if self.ok(q1) else CONTRADICTION
 
 
 def minimality_constraints(seq: Sequence, n: int) -> ConstraintReport:
@@ -143,11 +133,8 @@ def minimality_constraints(seq: Sequence, n: int) -> ConstraintReport:
     c = to_basis(seq[n], CHEBYSHEV)
     table = loop_product_expansion(a, c)
     d = table.get(UNIT, ZERO)
-    constraints = [
-        Constraint(sym, val, val.is_positive()) for sym, val in table.items() if sym != UNIT
-    ]
-    constraints.append(Constraint("d", d, d.is_positive()))
-    constraints.append(Constraint("-d", -d, (-d).is_positive()))
+    constraints = [Constraint(sym, val) for sym, val in table.items() if sym != UNIT]
+    constraints += [Constraint("d", d), Constraint("-d", -d)]
     return ConstraintReport(
         subject=f"loop minimality, seq={seq.name}, n={n}",
         a=a,
@@ -181,9 +168,7 @@ def q_constraints(
     k_max = min(k_max, n)
     c = seq[n].coeffs  # monic of degree n: c_0..c_n over the power basis
     table = tuple((f"q^-{k * n}*z_({k},{n})", c[k] * q_power(-k * n)) for k in range(1, n + 1))
-    constraints = [
-        Constraint(f"c_{k}", c[k], c[k].is_positive()) for k in range(0, k_max + 1)
-    ]
+    constraints = [Constraint(f"c_{k}", c[k]) for k in range(0, k_max + 1)]
     if diagram_check:
         from .skein import grid_identity  # the resolver loads only here
 

@@ -435,6 +435,22 @@ class TestReports:
         assert (code, out) == (2, "")
         assert err.startswith("error: sequence file") and "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_report_prints_integers_over_the_str_limit(self, capsys, tmp_path, fmt):
+        # A 4,300-digit literal N is the longest the loader accepts, and
+        # P_4 = t^4 + N t^2 has Chebyshev constant c_0 = 2N + 6, 4,301 digits.
+        # CPython has the limit from 3.10.7 on; the run must give it back.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        seq = tmp_path / "big.json"
+        seq.write_text('{"base": "chebyshev", "polys": {"4": [0, 0, 9%s, 0, 1]}}' % ("0" * 4299))
+        argv = ("minimality", "--seq", str(seq), "--n", "4", "--format", fmt)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and "Traceback" not in err
+        last = {"text": "conclusion: consistent", "json": '"conclusion": "consistent"'}[fmt]
+        assert out.splitlines()[-1 if fmt == "text" else -2].strip() == last
+        assert "18" + "0" * 4298 + "6" in out
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
     def test_bare_list_sequence_with_laurent_coefficients(self, capsys, tmp_path):
         # P_2 = t^2 + (q + q^-1) has Chebyshev coordinates (2 + q + q^-1, 0, 1),
         # a nonnegative mix, so the loop condition is consistent.

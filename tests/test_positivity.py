@@ -11,10 +11,10 @@ from skeincalc.positivity import (
     CONTRADICTION,
     PN_Z,
     UNIT,
+    Constraint,
     loop_product_expansion,
     minimality_constraints,
-    p1_zneg,
-    p1_zpos,
+    p1_z,
     q_constraints,
     structure_constant_audit,
 )
@@ -28,20 +28,20 @@ def plus_one_sequence():
 class TestLoopProductExpansion:
     def test_pure_chebyshev_level_two(self):
         out = loop_product_expansion(ZERO, [ZERO, ZERO, ONE])
-        assert out == {p1_zpos(2): q_power(2), p1_zneg(2): q_power(-2)}
+        assert out == {p1_z(2): q_power(2), p1_z(-2): q_power(-2)}
 
     def test_shifted_p1(self):
         out = loop_product_expansion(ONE, [ZERO, ONE])
         assert out == {
             PN_Z: ONE,
-            p1_zpos(1): q_power(1),
-            p1_zneg(1): q_power(-1),
+            p1_z(1): q_power(1),
+            p1_z(-1): q_power(-1),
             UNIT: -(q_power(1) + q_power(-1)),
         }
 
     def test_chebyshev_level_one(self):
         out = loop_product_expansion(ZERO, [ZERO, ONE])
-        assert out == {p1_zpos(1): q_power(1), p1_zneg(1): q_power(-1)}
+        assert out == {p1_z(1): q_power(1), p1_z(-1): q_power(-1)}
 
     def test_constant_term_vanishes_with_a_zero(self):
         for c in ([ZERO, ONE], [LaurentPoly(5), ZERO, ONE], [ONE, ONE, ONE]):
@@ -51,6 +51,11 @@ class TestLoopProductExpansion:
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):
             loop_product_expansion(ZERO, [ONE, LaurentPoly(2)])
+
+    def test_winding_symbol_needs_a_winding(self):
+        assert p1_z(-3) == "P_1(z_(1,-3))"
+        with pytest.raises(ValueError):
+            p1_z(0)
 
 
 class TestMinimality:
@@ -124,10 +129,21 @@ class TestMinimality:
             seq = Sequence.custom(table, base=CHEBYSHEV, name="shifted")
             report = minimality_constraints(seq, n)
             assert report.conclusion_for() == CONTRADICTION
+            assert report.conclusion_for(q1=True) == CONTRADICTION
             assert [x.label for x in report.failed()] == ["d"]
             d = next(x.value for x in report.constraints if x.label == "d")
             assert not d.is_zero()
             assert (-d).is_positive()
+
+
+class TestConstraint:
+    def test_positivity_verdict_is_read_off_the_value(self):
+        # 2q - q^-1 lies outside R_+ but is 1 at q = 1; -1 fails both cones.
+        x = Constraint("x", LaurentPoly({1: 2, -1: -1}))
+        assert x.satisfied is None
+        assert (x.passes(), x.passes(q1=True)) == (False, True)
+        y = Constraint("y", LaurentPoly(-1))
+        assert (y.passes(), y.passes(q1=True)) == (False, False)
 
 
 class TestArcConstraints:
