@@ -36,6 +36,7 @@ _EXPORTS = {
     "skein": (
         "AioArc",
         "AnnulusPower",
+        "CaseResult",
         "DiskMatching",
         "IdealSpec",
         "LOOP_VALUE",

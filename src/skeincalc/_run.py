@@ -75,23 +75,13 @@ def vector_json(v: SkeinVector, q1: bool = False) -> list[dict]:
     return [{"basis": b.label(), "coeff": _coeff_repr(c, q1)} for b, c in v.items()]
 
 
-class CaseResult(Record):
-    """One checked case of an identity: its label and both sides."""
-
-    __slots__ = ("label", "lhs", "rhs")  # str, SkeinVector, SkeinVector
-
-    @property
-    def ok(self) -> bool:
-        return self.lhs == self.rhs
-
-
 class IdentityReport(Record):
     """A verification command's report: one line per checked case."""
 
     __slots__ = ("name", "statement", "cases")  # str, str, tuple[CaseResult, ...]
 
     def ok(self) -> bool:
-        return all(c.ok for c in self.cases)
+        return all(c.passes() for c in self.cases)
 
 
 def emit_report(report, fmt: str, q1: bool = False) -> str:
@@ -138,7 +128,7 @@ def _emit_identity(report: IdentityReport, fmt: str, q1: bool) -> str:
                         "case": c.label,
                         "lhs": vector_json(c.lhs, q1),
                         "rhs": vector_json(c.rhs, q1),
-                        "ok": c.ok,
+                        "ok": c.passes(),
                     }
                     for c in report.cases
                 ],
@@ -148,14 +138,14 @@ def _emit_identity(report: IdentityReport, fmt: str, q1: bool) -> str:
     if fmt == "tsv":
         lines = [
             f"{c.label}\t{render_vector(c.lhs, q1)}\t{render_vector(c.rhs, q1)}\t"
-            f"{'PASS' if c.ok else 'FAIL'}"
+            f"{'PASS' if c.passes() else 'FAIL'}"
             for c in report.cases
         ]
         lines.append(f"RESULT\t{'PASS' if report.ok() else 'FAIL'}")
         return "\n".join(lines)
     lines = [f"{report.name}: {report.statement}"]
     for c in report.cases:
-        mark = "PASS" if c.ok else "FAIL"
+        mark = "PASS" if c.passes() else "FAIL"
         lines.append(f"  {c.label}:")
         lines.append(f"    lhs = {render_vector(c.lhs, q1)}")
         lines.append(f"    rhs = {render_vector(c.rhs, q1)}   -> {mark}")
@@ -171,7 +161,7 @@ def _cmd_verify_theta(args: argparse.Namespace) -> tuple[bool, IdentityReport]:
         raise UsageError("verify-theta needs --n >= 1")
     refuse_over_cap(f"theta:{args.n}", args.n, args.cap)
     from .sequences import chebyshev
-    from .skein import theta_bullet, theta_transport_target
+    from .skein import CaseResult, theta_bullet, theta_transport_target
 
     cases = [
         CaseResult(f"n={j}", theta_bullet(chebyshev(j), cap=args.cap), theta_transport_target(j))
@@ -193,7 +183,7 @@ def _cmd_verify_zkn(args: argparse.Namespace) -> tuple[bool, IdentityReport]:
     if not 1 <= k <= n:
         raise UsageError("verify-zkn needs 1 <= --k <= --n")
     refuse_over_cap(f"xkyn:{k},{n}", k * n, args.cap)
-    from .skein import grid_identity
+    from .skein import CaseResult, grid_identity
 
     lhs, rhs = grid_identity(k, n, args.cap)
     report = IdentityReport(
@@ -209,7 +199,7 @@ def _cmd_verify_zkn(args: argparse.Namespace) -> tuple[bool, IdentityReport]:
 
 def _cmd_verify_d1(args: argparse.Namespace) -> tuple[bool, IdentityReport]:
     from .diagram import build_d1_xy
-    from .skein import SkeinVector, full_boundary_ideal, resolve_all_mod
+    from .skein import CaseResult, SkeinVector, full_boundary_ideal, resolve_all_mod
 
     d = build_d1_xy()
     lhs = resolve_all_mod(d, full_boundary_ideal(d.surface), cap=args.cap)

@@ -31,9 +31,10 @@ from ._run import (  # noqa: F401  (emit_report re-exported)
     emit_report,
     parse_index,
 )
-from .laurent import LaurentPoly
+from .laurent import ZERO, LaurentPoly
 from .positivity import (
     AuditReport,
+    Constraint,
     ConstraintReport,
     minimality_constraints,
     q_constraints,
@@ -141,8 +142,8 @@ def _emit_constraints(report: ConstraintReport, fmt: str, q1: bool) -> str:
                 "constraints": [
                     {
                         "label": x.label,
-                        "value": _coeff_repr(x.value, q1),
-                        "required": "identity" if x.kind == "identity" else cone,
+                        "value": _coeff_repr(x.value if isinstance(x, Constraint) else ZERO, q1),
+                        "required": cone if isinstance(x, Constraint) else "identity",
                         "ok": x.passes(q1),
                     }
                     for x in report.constraints
@@ -153,10 +154,10 @@ def _emit_constraints(report: ConstraintReport, fmt: str, q1: bool) -> str:
     rows = []
     for x in report.constraints:
         mark = "PASS" if x.passes(q1) else "FAIL"
-        if x.kind == "identity":
-            rows.append((x.label, "exact", "identity", mark))
-        else:
+        if isinstance(x, Constraint):
             rows.append((x.label, _coeff_text(x.value, q1), cone, mark))
+        else:
+            rows.append((x.label, "exact", "identity", mark))
     if fmt == "tsv":
         lines = ["\t".join(r) for r in rows]
         lines.append(f"conclusion\t{conclusion}")

@@ -115,10 +115,6 @@ class Diagram(Record):
     def crossing_count(self) -> int:
         return len(self.crossings)
 
-    def validate(self) -> None:
-        """Check the diagram, raising the ValueError ports() raises."""
-        self.ports()
-
     def ports(self) -> tuple[list[int], list[int], list[int], list[int], list[tuple[str, int]]]:
         """Validate the diagram and compile it to the flat port arrays resolvers walk.
 

@@ -84,17 +84,13 @@ def in_cone(values: list[LaurentPoly], q1: bool = False) -> bool:
 
 
 class Constraint(Record):
-    """One requirement: a value that must lie in R_+, judged from the value
-    alone, or an engine-checked identity (kind "identity", value unused)
-    whose verdict is stored in satisfied."""
+    """One positivity requirement: a value that must lie in R_+, judged
+    from the value alone."""
 
-    __slots__ = ("label", "value", "satisfied", "kind")  # str, LaurentPoly, bool | None, str
-    _defaults = {"satisfied": None, "kind": "positivity"}
+    __slots__ = ("label", "value")  # str, LaurentPoly
 
     def passes(self, q1: bool = False) -> bool:
-        """An identity must hold; a value must lie in R_+, or at q = 1 in Z_+."""
-        if self.kind == "identity":
-            return self.satisfied
+        """The value lies in R_+, or at q = 1 in Z_+."""
         return in_cone([self.value], q1)
 
 
@@ -103,12 +99,13 @@ class ConstraintReport(Record):
 
     Fields: subject (str), a (LaurentPoly, or None for the arc condition),
     c (the coefficients), table ((symbol label, coefficient) pairs) and
-    constraints.  The conclusion is derived, never stored.
+    constraints: Constraints, then with diagram_check the skein.CaseResults
+    of the grid identities.  The conclusion is derived, never stored.
     """
 
     __slots__ = ("subject", "a", "c", "table", "constraints")
 
-    def failed(self) -> list[Constraint]:
+    def failed(self) -> list:
         return [x for x in self.constraints if not x.passes()]
 
     def ok(self, q1: bool = False) -> bool:
@@ -170,18 +167,11 @@ def q_constraints(
     table = tuple((f"q^-{k * n}*z_({k},{n})", c[k] * q_power(-k * n)) for k in range(1, n + 1))
     constraints = [Constraint(f"c_{k}", c[k]) for k in range(0, k_max + 1)]
     if diagram_check:
-        from .skein import grid_identity  # the resolver loads only here
+        from .skein import CaseResult, grid_identity  # the resolver loads only here
 
         for k in range(1, k_max + 1):
-            got, want = grid_identity(k, n, cap)
-            constraints.append(
-                Constraint(
-                    f"x^{k} y_{n} == q^-{k * n} z_({k},{n}) mod I",
-                    ZERO,
-                    got == want,
-                    kind="identity",
-                )
-            )
+            label = f"x^{k} y_{n} == q^-{k * n} z_({k},{n}) mod I"
+            constraints.append(CaseResult(label, *grid_identity(k, n, cap)))
     return ConstraintReport(
         subject=f"arc condition, seq={seq.name}, n={n}",
         a=None,

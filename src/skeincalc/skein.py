@@ -441,6 +441,16 @@ def resolve_all_mod(
     return _resolve(d, ideal, cap)
 
 
+class CaseResult(Record):
+    """One checked case of an identity, the package's one such record: it
+    passes only when both sides are equal over Z[q, q^-1], so q1 is ignored."""
+
+    __slots__ = ("label", "lhs", "rhs")  # str, SkeinVector, SkeinVector
+
+    def passes(self, q1: bool = False) -> bool:
+        return self.lhs == self.rhs
+
+
 def grid_identity(k: int, n: int, cap: int) -> tuple[SkeinVector, SkeinVector]:
     """Both sides of x^k y_n = q^(-kn) z_(k,n) modulo the grid ideal: the
     quotient of the k-by-n grid, and the weighted all-negative state."""

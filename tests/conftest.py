@@ -1,6 +1,7 @@
 """Shared test helpers: the brute-force oracles the frontier resolver is
 checked against (a 2^c state scan, a single-crossing fold, closed braids
-with known Jones polynomials, open braids across a marked disk), the
+with known Jones polynomials, in word order or in a frontier-widening
+order, open braids across a marked disk), the
 edge-map crossing resolution the fold and enumerate_states run on (the
 package traces components only in its frontier resolver), a JSON
 description of diagrams, the dict-buffer reference for the packed
@@ -213,6 +214,38 @@ def closed_braid(word: list[int], surface=Disk(), order: list[int] | None = None
             last[pos] = ("X", cid, top)
     edges += [make_edge(last[pos], first[pos], seam) for pos in first]
     return Diagram(surface, permuted(crossings, order), frozenset(edges))
+
+
+def wide_closed_braid(word: list[int], surface=Disk()) -> tuple[Diagram, int]:
+    """closed_braid(word, surface) in a crossing order that widens the
+    frontier, and the most paths open at once in that order.
+
+    The crossing taken next opens the most new path ends: it has the most
+    edges to crossings not taken yet, ties going to the lower letter
+    index.  Each edge between a taken and an untaken crossing is one end
+    of an open path, so half their count is the paths open after a step.
+    Read off the diagram's edges, not through Diagram.ports().
+    """
+    d = closed_braid(word, surface)
+    index = {c.id: j for j, c in enumerate(d.crossings)}
+    joined: list[list[int]] = [[] for _ in word]
+    for e in d.edges:
+        a, b = index[e.a[1]], index[e.b[1]]
+        joined[a].append(b)
+        joined[b].append(a)
+    left = set(range(len(word)))
+
+    def opened(j: int) -> int:
+        return sum(k in left and k != j for k in joined[j])
+
+    order, cut, widest = [], 0, 0
+    while left:
+        j = max(sorted(left), key=opened)
+        cut += opened(j) - sum(k not in left for k in joined[j])
+        left.remove(j)
+        order.append(j)
+        widest = max(widest, cut // 2)
+    return closed_braid(word, surface, order), widest
 
 
 def permuted(crossings: list[Crossing], order: list[int] | None) -> tuple[Crossing, ...]:

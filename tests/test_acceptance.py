@@ -27,6 +27,7 @@ from skeincalc.positivity import (
 )
 from skeincalc.sequences import CHEBYSHEV, POWER, Sequence, UniPoly, chebyshev
 from skeincalc.skein import (
+    CaseResult,
     DiskMatching,
     LOOP_VALUE,
     SkeinVector,
@@ -123,7 +124,7 @@ def test_criterion_6_arc_condition():
     for n in range(1, 5):
         rep = q_constraints(POWER, n, diagram_check=True)
         assert rep.conclusion_for() == CONSISTENT
-        assert all(x.satisfied for x in rep.constraints if x.kind == "identity")
+        assert all(x.passes() for x in rep.constraints if isinstance(x, CaseResult))
     report(6, "Q_2 = T_2 refuted (c_0 = -2); power sequence passes with diagram cross-check")
 
 

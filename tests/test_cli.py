@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import skeincalc
-from skeincalc import _parser, _run, cli, diagram
+from skeincalc import _parser, _run, cli, diagram, skein
 from skeincalc.cli import main
+from skeincalc.laurent import q_power
 
 SPAN = cli.MAX_SEQUENCE_SPAN
 
@@ -250,6 +251,32 @@ class TestReports:
         )
         assert code == 0
         assert largest in out
+
+    @pytest.mark.parametrize("q1", [[], ["--q1"]], ids=["exact", "q1"])
+    @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+    def test_failed_diagram_check_is_a_contradiction(self, capsys, monkeypatch, fmt, q1):
+        # The rhs scaled by q^2 differs from the lhs over Z[q, q^-1], yet
+        # agrees with it at q = 1, where an identity is never judged.
+        grid_identity = skein.grid_identity
+
+        def scaled(k, n, cap):
+            lhs, rhs = grid_identity(k, n, cap)
+            return lhs, rhs.scaled(q_power(2))
+
+        monkeypatch.setattr(skein, "grid_identity", scaled)
+        argv = ["arc-constraints", "--seq", "power", "--n", "2", "--diagram-check", "--format", fmt]
+        code, out, _ = run_cli(capsys, *argv, *q1)
+        assert code == 1
+        if fmt == "json":
+            data = json.loads(out)
+            rows = [r for r in data["constraints"] if r["required"] == "identity"]
+            assert [(r["value"], r["ok"]) for r in rows] == [(0 if q1 else {}, False)] * 2
+            assert data["conclusion"] == "contradiction"
+            return
+        rows = [line for line in out.splitlines() if "mod I" in line]
+        assert len(rows) == 2 and all(line.endswith("FAIL") for line in rows)
+        assert all("exact" in line and "identity" in line for line in rows)
+        assert out.splitlines()[-1] in ("conclusion: contradiction", "conclusion\tcontradiction")
 
     def test_diagram_check_over_cap_refuses_before_building(self, capsys, monkeypatch):
         def refuse(*args):

@@ -72,7 +72,7 @@ class TestBuilders:
         # (101, 1) both gave E10101; the dot keeps (1, 11) and (11, 1) apart.
         d = build_xk_yn(101, 101)
         assert len({c.id for c in d.crossings}) == 101 * 101
-        d.validate()
+        d.ports()
         ids = [c.id for c in build_xk_yn(2, 3).crossings]
         assert ids == ["E1.1", "E1.2", "E1.3", "E2.1", "E2.2", "E2.3"]
 
@@ -89,7 +89,7 @@ class TestBuilders:
             walk.append(end[1])
             end = other["X", end[1], 2]
         assert walk == [c.id for c in d.crossings] and len(walk) == 150
-        d.validate()
+        d.ports()
         assert [c.id for c in build_theta_over_cores(3).crossings] == ["c1", "c2", "c3"]
 
     @pytest.mark.parametrize("k, n", [(1, 1), (2, 3), (3, 12), (12, 3)])
@@ -141,7 +141,7 @@ class TestBuilders:
 
     def test_all_builders_validate(self):
         for d in all_builders():
-            d.validate()
+            d.ports()
 
 
 class TestResolveCrossing:
@@ -151,7 +151,7 @@ class TestResolveCrossing:
             before = d.crossing_count
             d = resolve_crossing(d, cid, -1)
             assert d.crossing_count == before - 1
-            d.validate()
+            d.ports()
         assert d.crossing_count == 0
 
     def test_unknown_id(self):
@@ -199,7 +199,7 @@ class TestResolveCrossing:
                 for cid in sorted(signs):
                     folded = resolve_crossing(folded, cid, signs[cid])
                 assert resolve_crossings(d, signs) == folded
-                folded.validate()
+                folded.ports()
 
     @pytest.mark.parametrize("signs", [{"k0": 0}, {"k0": 1, "nope": 1}])
     def test_batch_rejects_bad_sign_or_id(self, signs):
@@ -261,7 +261,7 @@ class TestPrimitives:
             loops=d.loops,
         )
         with pytest.raises(ValueError):
-            broken.validate()
+            broken.ports()
 
 
 class TestSerialization:

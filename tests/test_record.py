@@ -7,7 +7,6 @@ import pytest
 
 from skeincalc.diagram import Annulus, Crossing, Diagram, Disk, Edge
 from skeincalc.laurent import ONE, LaurentPoly, q_power
-from skeincalc.positivity import Constraint
 from skeincalc.sequences import UniPoly
 from skeincalc.skein import AioArc, AnnulusPower, SkeinVector
 
@@ -61,7 +60,6 @@ class TestRecord:
         assert Edge(A, B) == Edge(A, B, 0) == Edge(a=A, b=B, seam=0) == Edge(A, b=B)
         d = Diagram(surface=Annulus(), loops=(0,))
         assert (d.crossings, d.edges, d.loops) == ((), frozenset(), (0,))
-        assert Constraint("c_0", ONE, True).kind == "positivity"
 
     @pytest.mark.parametrize(
         "args, kwargs",

@@ -1,6 +1,7 @@
 """The resolution engine: normal forms, full expansion, quotients."""
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -17,6 +18,7 @@ from conftest import (
     resolve_crossing,
     scan_resolve,
     tl_closed_braid,
+    wide_closed_braid,
 )
 from skeincalc.diagram import (
     Annulus,
@@ -33,6 +35,7 @@ from skeincalc.diagram import (
     build_zkn,
     make_edge,
 )
+import skeincalc
 from skeincalc import skein
 from skeincalc._run import vector_json
 from skeincalc.laurent import LaurentPoly, ONE, q_power
@@ -40,6 +43,7 @@ from skeincalc.sequences import POWER, UniPoly, chebyshev
 from skeincalc.skein import (
     AioArc,
     AnnulusPower,
+    CaseResult,
     CrossingCapExceeded,
     DiskMatching,
     IdealSpec,
@@ -195,7 +199,7 @@ class TestResolveAll:
             edges=frozenset({make_edge(("B", "a", 0), ("B", "a", 1))}),
             loops=(1,),
         )
-        for check in (Diagram.validate, resolve_all, normal_form):
+        for check in (Diagram.ports, resolve_all, normal_form):
             with pytest.raises(ValueError, match="free loops cannot wind on a disk"):
                 check(d)
 
@@ -205,7 +209,7 @@ class TestResolveAll:
         # to anything, and the frontier read them as attached to node -1.
         k = build_kink(1)
         d = Diagram(k.surface, k.crossings * 2, k.edges)
-        for check in (Diagram.validate, resolve_all):
+        for check in (Diagram.ports, resolve_all):
             with pytest.raises(ValueError, match="crossing ids must be distinct"):
                 check(d)
 
@@ -222,7 +226,7 @@ class TestResolveAll:
     )
     def test_rejects_misplaced_boundary_end(self, d, old, new, words):
         bad = move_end(d, old, new)
-        for check in (Diagram.validate, resolve_all, normal_form):
+        for check in (Diagram.ports, resolve_all, normal_form):
             with pytest.raises(ValueError, match=words):
                 check(bad)
 
@@ -243,7 +247,7 @@ class TestResolveAll:
     )
     def test_rejects_malformed_attachment(self, end):
         bad = move_end(build_d1_xy(), ("B", "p0", 0), end)
-        for check in (Diagram.validate, resolve_all):
+        for check in (Diagram.ports, resolve_all):
             with pytest.raises(ValueError, match=COVER):
                 check(bad)
 
@@ -253,7 +257,7 @@ class TestResolveAll:
         monkeypatch.setattr(Diagram, "ports", lambda d: compiled.append(d) or compile_ports(d))
         d, z = build_xk_yn(2, 2), build_zkn(2, 2)
         calls = [
-            lambda: d.validate(),
+            lambda: d.ports(),
             lambda: resolve_all(d),
             lambda: resolve_all_mod(d, grid_ideal(2)),
             lambda: normal_form(z),
@@ -631,8 +635,8 @@ class TestCrossingOrder:
         )
         surface = Disk(("t0", "t1", "b1", "b0"))
         d, twin = Diagram(surface, (y, x), edges), Diagram(surface, (x, y), edges)
-        d.validate()
-        twin.validate()
+        d.ports()
+        twin.ports()
         assert d != twin
         got = resolve_all(d)
         assert got == resolve_all(twin) == scan_resolve(d)
@@ -773,3 +777,65 @@ class TestTemperleyLieb:
         word = data.draw(long_braid_words(strands, n, max_strands=strands, min_letters=n))
         for surface in (Disk(), Annulus()):
             assert tl_closed_braid(word, surface) == closed_value(word, surface)
+
+    # Fixed words on 4-6 strands.  In its widening order each closes a loop
+    # around the core while six or more paths are open, a state that random
+    # crossing orders reach for few seeds.
+    WIDE_WORDS = [
+        [-3, -2, -3, -2, -1, 3, 1, -3, -2, -2, 1, -1, -1, -2, 3, 3, -2, -3, -3, -1, 2],
+        [1, 3, -2, -1, -2, -4, -1, 1, -4, -3, 4, -4, -1, -1, -3, -1, 1, -3, -1, -4, 3],
+        [3, 1, 3, -1, -5, -5, -3, 1, 2, -2, 2, -2, -3, 4, -4, 1, -2, -2, -5, 5],
+        [3, -1, -4, 4, 3, 3, -4, 4, 4, 5, 3, -5, 4, -2, -4, -5, 2, -4, 5, 3, -5, 2, 3],
+    ]
+
+    @pytest.mark.parametrize("word", WIDE_WORDS, ids=["s4", "s5", "s6", "s6-long"])
+    def test_wide_frontier_orders_match(self, word):
+        for surface in (Disk(), Annulus()):
+            d, widest = wide_closed_braid(word, surface)
+            assert widest >= 6
+            assert resolve_all(d, cap=len(word)) == tl_closed_braid(word, surface)
+
+
+def fibonacci(m: int) -> int:
+    a, b = 0, 1
+    for _ in range(m):
+        a, b = b, a + b
+    return a
+
+
+class TestClosedForms:
+    """Counts and values known in closed form, against the frontier."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 5, 40, 200, 300])
+    def test_theta_over_cores_is_binomial(self, k):
+        # No loop closes, and a smoothing scales by q^(+-1) as it winds the
+        # arc +-1 more, so theta_(k-2j) sums the C(k, j) states with j
+        # negative smoothings.
+        want = {AioArc(k - 2 * j): q_power(k - 2 * j) * comb(k, j) for j in range(k + 1)}
+        assert resolve_all(build_theta_over_cores(k), cap=k) == SkeinVector(want)
+
+    @pytest.mark.parametrize(
+        "rows, sizes, count",
+        [
+            (lambda n: 1, range(1, 11), lambda n: 2**n),
+            (lambda n: 2, range(1, 8), lambda n: fibonacci(2 * n + 1)),
+            (lambda n: n, range(1, 7), lambda n: comb(2 * n + 2, n + 1) // (n + 2)),
+        ],
+        ids=["one-row", "two-rows", "square"],
+    )
+    def test_grid_term_counts(self, rows, sizes, count):
+        # x^k y_n with no ideal has 2^n, F(2n+1) or Catalan(n+1) basis terms.
+        for n in sizes:
+            k = rows(n)
+            assert len(resolve_all(build_xk_yn(k, n), cap=k * n)) == count(n), (k, n)
+
+
+class TestCaseResult:
+    def test_passes_only_on_exact_equality(self):
+        # q·z and z agree at q = 1, where an identity is never judged.
+        z = AnnulusPower(1)
+        lhs, rhs = SkeinVector({z: q_power(1)}), SkeinVector({z: ONE})
+        case = CaseResult("q z == z", lhs, rhs)
+        assert (case.passes(), case.passes(q1=True)) == (False, False)
+        assert CaseResult("z == z", rhs, rhs).passes(q1=True)
+        assert skeincalc.CaseResult is CaseResult
