@@ -32,7 +32,7 @@ _EXPORTS = {
         "build_zkn",
         "disk_surface",
     ),
-    "_cap": ("CrossingCapExceeded",),
+    "_cap": ("CrossingCapExceeded", "FrontierBudgetExceeded"),
     "skein": (
         "AioArc",
         "AnnulusPower",

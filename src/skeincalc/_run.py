@@ -3,21 +3,22 @@
 run holds the one command table and the one exit-code mapping: every
 command returns (ok, report), and run renders the report through
 emit_report, the one renderer entry for every report type, or maps a
-refusal (UsageError, MissingEntry, CrossingCapExceeded) to exit 2.  The
-commands that resolve a diagram (verify-theta, verify-zkn, verify-d1 and
-resolve) live here with the identity and vector renderers, so they load
-only the resolver (diagram.py, skein.py and laurent.py), and verify-theta
-sequences.py for chebyshev.  The report commands (audit, minimality and
-arc-constraints) live in cli.py with positivity.py and sequences.py,
-which load only when one of them runs.
+refusal (UsageError, MissingEntry, CrossingCapExceeded,
+FrontierBudgetExceeded) to exit 2.  The commands that resolve a diagram
+(verify-theta, verify-zkn, verify-d1 and resolve) live here with the
+identity and vector renderers, so they load only the resolver
+(diagram.py, skein.py and laurent.py), and verify-theta sequences.py for
+chebyshev.  The report commands (audit, minimality and arc-constraints)
+live in cli.py with positivity.py and sequences.py, which load only when
+one of them runs.
 
 Exit codes are a stable contract: 0 all checks pass, 1 a verification or
 constraint failed, 2 usage error (bad bounds, a size over its limit, bad
-sequence file or a missing entry, crossing cap exceeded).  Output is
-deterministic: basis elements in canonical order, exponents ascending,
-byte-identical across runs.  --jobs changes nothing: it is accepted for
-compatibility and checked to be >= 1, and no command reads it further or
-starts a process.
+sequence file or a missing entry, crossing cap or frontier budget
+exceeded).  Output is deterministic: basis elements in canonical order,
+exponents ascending, byte-identical across runs.  --jobs changes nothing:
+it is accepted for compatibility and checked to be >= 1, and no command
+reads it further or starts a process.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from ._cap import CrossingCapExceeded, MissingEntry, refuse_over_cap
+from ._cap import CrossingCapExceeded, FrontierBudgetExceeded, MissingEntry, refuse_over_cap
 from ._record import Record
 
 if TYPE_CHECKING:
@@ -182,7 +183,6 @@ def _cmd_verify_zkn(args: argparse.Namespace) -> tuple[bool, IdentityReport]:
     k, n = args.k, args.n
     if not 1 <= k <= n:
         raise UsageError("verify-zkn needs 1 <= --k <= --n")
-    refuse_over_cap(f"xkyn:{k},{n}", k * n, args.cap)
     from .skein import CaseResult, grid_identity
 
     lhs, rhs = grid_identity(k, n, args.cap)
@@ -292,25 +292,14 @@ def _cmd_resolve(args: argparse.Namespace) -> tuple[bool, SkeinVector]:
     return True, vec
 
 
-def _in_cli(name: str):
-    """A report command, run from cli.py, which loads positivity.py and
-    sequences.py: only these commands import it."""
-
-    def command(args: argparse.Namespace) -> tuple[bool, object]:
-        from . import cli
-
-        return getattr(cli, name)(args)
-
-    return command
-
-
+# A report command's entry names its cli.py function: only they load cli.py.
 _COMMANDS = {
     "verify-theta": _cmd_verify_theta,
     "verify-zkn": _cmd_verify_zkn,
     "verify-d1": _cmd_verify_d1,
-    "audit": _in_cli("_cmd_audit"),
-    "minimality": _in_cli("_cmd_minimality"),
-    "arc-constraints": _in_cli("_cmd_arc_constraints"),
+    "audit": "_cmd_audit",
+    "minimality": "_cmd_minimality",
+    "arc-constraints": "_cmd_arc_constraints",
     "resolve": _cmd_resolve,
 }
 
@@ -322,11 +311,16 @@ def run(args: argparse.Namespace) -> int:
             raise UsageError("--jobs must be >= 1")
         if args.cap < 0:
             raise UsageError("--cap must be >= 0")
-        ok, report = _COMMANDS[args.command](args)
+        command = _COMMANDS[args.command]
+        if isinstance(command, str):
+            from . import cli
+
+            command = getattr(cli, command)
+        ok, report = command(args)
     except (UsageError, MissingEntry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CrossingCapExceeded as exc:
+    except (CrossingCapExceeded, FrontierBudgetExceeded) as exc:
         print(f"refusing to expand: {exc}", file=sys.stderr)
         return 2
     # Every input is parsed by now, under CPython's limit on int/str

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ._cap import refuse_over_cap
 from ._parser import main  # noqa: F401  (re-exported)
 from ._run import (  # noqa: F401  (emit_report re-exported)
     UsageError,
@@ -216,10 +215,6 @@ def _cmd_arc_constraints(args: argparse.Namespace) -> tuple[bool, ConstraintRepo
     _check_size("arc-constraints", "--n", n, MAX_ARC_N)
     if k_max is not None and k_max < 1:
         raise UsageError("arc-constraints needs --k-max >= 1")
-    if args.diagram_check:
-        # The largest grid checked is x^k y_n with k = min(k_max, n).
-        k = min(k_max or n, n)
-        refuse_over_cap(f"xkyn:{k},{n}", k * n, args.cap)
     report = q_constraints(
         load_sequence(args.seq), n, k_max, diagram_check=args.diagram_check, cap=args.cap
     )
@@ -235,9 +230,10 @@ def _check_size(command: str, flag: str, value: int, limit: int) -> None:
 
 
 # Size limits of the report commands: at each, every built-in sequence stays
-# within 4 s and 150 MiB (Python 3.11, 2-CPU host).  minimality --n 1000 takes
-# 0.2 s and 17 MiB, arc-constraints --seq chebyshev --n 1000 0.1 s and 16 MiB,
-# audit --max-n 100 1.3 s and 20 MiB; minimality --seq power 2.4 s and 139 MiB.
+# within 4 s and 150 MiB.  A fresh interpreter (median of 5, CPython 3.11, 2-CPU
+# Xeon host) takes 0.07 s and 16 MiB for minimality --n 1000 and arc-constraints
+# --seq chebyshev --n 1000, 0.37 s and 19 MiB for audit --max-n 100, and 1.07 s
+# and 138 MiB for minimality --seq power --n 1000.
 MAX_MINIMALITY_N = 1000
 MAX_ARC_N = 1000
 MAX_AUDIT_N = 100

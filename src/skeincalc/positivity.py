@@ -30,7 +30,7 @@ conclusion rule, and cli.py renders every format of these reports.
 
 from __future__ import annotations
 
-from ._cap import DEFAULT_CROSSING_CAP
+from ._cap import DEFAULT_CROSSING_CAP, refuse_over_cap
 from ._record import Record
 from .laurent import LaurentPoly, ONE, ZERO, q_power
 from .sequences import CHEBYSHEV, Sequence, product_in_basis, to_basis
@@ -154,7 +154,8 @@ def q_constraints(
 
     With diagram_check, each weight q^(-kn) is re-derived by the full
     resolution engine: the quotient of x^k y_n must equal q^(-kn) times
-    the normal form of the all-negative state, for 1 <= k <= k_max.
+    the normal form of the all-negative state, for 1 <= k <= k_max; the
+    largest grid, k_max*n crossings, is refused over the cap before any is.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -167,6 +168,7 @@ def q_constraints(
     table = tuple((f"q^-{k * n}*z_({k},{n})", c[k] * q_power(-k * n)) for k in range(1, n + 1))
     constraints = [Constraint(f"c_{k}", c[k]) for k in range(0, k_max + 1)]
     if diagram_check:
+        refuse_over_cap(f"xkyn:{k_max},{n}", k_max * n, cap)
         from .skein import CaseResult, grid_identity  # the resolver loads only here
 
         for k in range(1, k_max + 1):

@@ -276,8 +276,7 @@ class Sequence:
             if p.degree != n or not p.is_monic():
                 raise ValueError(f"entry {n} must be monic of degree {n}, got {p}")
             table[n] = p
-        if table.setdefault(0, _ONE) != _ONE:
-            raise ValueError("entry 0 of a normalized sequence must be 1")
+        table.setdefault(0, _ONE)
 
         def entry(n: int) -> UniPoly:
             if n in table:

@@ -36,9 +36,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from ._cap import (  # CrossingCapExceeded is re-exported
+from ._cap import (  # the two refusals are re-exported
     DEFAULT_CROSSING_CAP,
+    MAX_FRONTIER_STATES,
     CrossingCapExceeded,
+    FrontierBudgetExceeded,
     refuse_over_cap,
 )
 from ._record import Immutable, Record
@@ -272,8 +274,6 @@ def _reduce_state(
     as the slot numbering of Diagram.ports() gives them.  Trivial loops
     and killed states never reach it."""
     if isinstance(surface, Annulus):
-        if arcs:
-            raise StructureError("the annulus model has no marked points for arcs")
         return AnnulusPower(essential)
     if isinstance(surface, MarkedAnnulus):
         if [arc[0:3:2] for arc in arcs] != [("p1", "p2")]:
@@ -336,7 +336,9 @@ def _frontier_resolve(
     ends at one marked point, or between the endpoints of an ideal
     generator: no later smoothing touches a finished path, so pruning it
     early agrees with the 2^c state sum.  Surviving states go through
-    _reduce_state, which only names their basis element.
+    _reduce_state, which only names their basis element.  A frontier of
+    more than MAX_FRONTIER_STATES states after any crossing raises
+    FrontierBudgetExceeded.
     """
     to, w, pos, neg, slots = d.ports()
     ports = len(pos)
@@ -396,6 +398,11 @@ def _frontier_resolve(
                 else:
                     key = (tuple(sorted((a, b, x) for a, (b, x) in ends.items() if a < b)), ess)
                     _accumulate(nxt.setdefault(key, {}), weight, shift, trivial)
+        if len(nxt) > MAX_FRONTIER_STATES:
+            raise FrontierBudgetExceeded(
+                f"diagram holds {len(nxt)} partial states after {ci + 1} of {ports // 4} "
+                f"crossings; the frontier budget is {MAX_FRONTIER_STATES}"
+            )
         frontier = nxt
     acc: dict[BasisElement, dict[int, int]] = {}
     for (paths, essential), weight in frontier.items():
@@ -453,7 +460,9 @@ class CaseResult(Record):
 
 def grid_identity(k: int, n: int, cap: int) -> tuple[SkeinVector, SkeinVector]:
     """Both sides of x^k y_n = q^(-kn) z_(k,n) modulo the grid ideal: the
-    quotient of the k-by-n grid, and the weighted all-negative state."""
+    quotient of the k-by-n grid, and the weighted all-negative state.
+    A grid over the cap is refused before either side is built."""
+    refuse_over_cap(f"xkyn:{k},{n}", k * n, cap)
     lhs = resolve_all_mod(build_xk_yn(k, n), grid_ideal(n), cap=cap)
     rhs = normal_form(build_zkn(k, n)).scaled(q_power(-k * n))
     return lhs, rhs

@@ -9,6 +9,7 @@ import io
 import json
 import multiprocessing.process
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,32 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"refusing to expand: {words}\n"
 
+    def test_frontier_budget_refusal_is_two(self, capsys, monkeypatch):
+        # xkyn:1,N holds 2^j partial states after j crossings.
+        monkeypatch.setattr(skein, "MAX_FRONTIER_STATES", 1000)
+        code, out, err = run_cli(capsys, "resolve", "xkyn:1,12")
+        assert (code, out) == (2, "")
+        assert err == (
+            "refusing to expand: diagram holds 1024 partial states after 10 of 12 "
+            "crossings; the frontier budget is 1000\n"
+        )
+
+    def test_default_cap_grid_ends_under_an_address_space_limit(self):
+        # The default cap admits its 24 crossings, and its answer has 2^24
+        # basis terms; the frontier budget refuses it at 2^17 states.
+        gib = 1 << 30
+        src = str(Path(skeincalc.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "skeincalc", "resolve", "xkyn:1,24"],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("refusing to expand: diagram holds 131072 partial states")
+
     def test_jobs_below_one_is_two(self, capsys):
         code, _, err = run_cli(capsys, "verify-theta", "--n", "1", "--jobs", "0")
         assert code == 2
@@ -115,6 +142,12 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "resolve", "kink:+", "--ideal", "grid")
         assert (code, out) == (2, "")
         assert err == "error: --ideal grid needs a grid disk, p0..p{n+1}, q{n}..q1 with n >= 1\n"
+
+    @pytest.mark.parametrize("spec", ["theta:2", "core:2"])
+    def test_ideal_off_a_disk_is_two(self, capsys, spec):
+        code, out, err = run_cli(capsys, "resolve", spec, "--ideal", "boundary")
+        assert (code, out) == (2, "")
+        assert err == "error: ideals only apply to disk diagrams\n"
 
     def test_resolve_refuses_large_core_before_building(self, capsys, monkeypatch):
         def refuse(*args):
@@ -366,6 +399,21 @@ class TestReports:
         code, out, err = run_cli(capsys, command, "--seq", str(seq), flag, "2")
         assert (code, out) == (2, "")
         assert f"at most {SPAN} apart" in err
+
+    @pytest.mark.parametrize("data", [3, "x", None], ids=["int", "str", "null"])
+    def test_sequence_file_of_a_scalar_is_two(self, capsys, tmp_path, data):
+        seq = tmp_path / "scalar.json"
+        seq.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "minimality", "--seq", str(seq), "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: sequence file {str(seq)!r} must hold a list or an object\n"
+
+    def test_entry_zero_other_than_one_is_two(self, capsys, tmp_path):
+        seq = tmp_path / "zero.json"
+        seq.write_text(json.dumps({"polys": {"0": [2]}}))
+        code, out, err = run_cli(capsys, "minimality", "--seq", str(seq), "--n", "1")
+        assert (code, out) == (2, "")
+        assert "entry 0 must be monic of degree 0" in err
 
     def test_bool_coefficient_is_rejected(self, capsys, tmp_path):
         seq = tmp_path / "b.json"

@@ -8,6 +8,7 @@ from conftest import diagram_json, resolve_crossing, resolve_crossings
 from skeincalc.diagram import (
     Annulus,
     Crossing,
+    Diagram,
     Disk,
     MarkedAnnulus,
     build_core_stack,
@@ -262,6 +263,30 @@ class TestPrimitives:
         )
         with pytest.raises(ValueError):
             broken.ports()
+
+
+class TestPortsRefusals:
+    # The kink's two edges are X0-X3 and X1-X2, on the unmarked disk.
+    @pytest.mark.parametrize(
+        "edges, words",
+        [
+            ([("X", 0, "X", 3, 1), ("X", 1, "X", 2, 0)], "seam counts must vanish on a disk"),
+            (
+                [("X", 0, "X", 3, 0), ("X", 0, "X", 2, 0)],
+                "an attachment point is used by more than one edge end",
+            ),
+        ],
+        ids=["disk-seam", "shared-end"],
+    )
+    def test_refuses_bad_kink_edges(self, edges, words):
+        kink = build_kink(1)
+        edges = [make_edge((a, "k0", i), (b, "k0", j), seam) for a, i, b, j, seam in edges]
+        with pytest.raises(ValueError, match=f"^{words}$"):
+            Diagram(kink.surface, kink.crossings, frozenset(edges), ()).ports()
+
+    def test_refuses_negative_loop_winding(self):
+        with pytest.raises(ValueError, match="^free loop windings are stored nonnegative$"):
+            Diagram(Annulus(), (), frozenset(), (-1,)).ports()
 
 
 class TestSerialization:

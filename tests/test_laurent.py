@@ -39,6 +39,13 @@ class TestArithmetic:
         assert 2 * Q - Q == Q
         assert (Q + 1) * (Q - 1) == lp({2: 1, 0: -1})
 
+    def test_int_minus_poly(self):
+        assert 3 - lp({1: 2, 0: 1}) == lp({1: -2, 0: 2})
+
+    def test_negative_power_raises(self):
+        with pytest.raises(ValueError, match="negative powers"):
+            Q**-1
+
     def test_pow(self):
         assert (Q + 1) ** 0 == ONE
         assert Q**3 == q_power(3)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from skeincalc import cli
+from skeincalc import cli, skein
+from skeincalc._cap import CrossingCapExceeded
 from skeincalc.laurent import LaurentPoly, ONE, ZERO, q_power
 from skeincalc.positivity import (
     CONSISTENT,
@@ -170,6 +171,18 @@ class TestArcConstraints:
             identities = [x for x in report.constraints if not isinstance(x, Constraint)]
             assert len(identities) == n
             assert all(x.passes() for x in identities)
+
+    @pytest.mark.parametrize("k_max", [None, 5, 9])
+    def test_diagram_check_refuses_the_largest_grid_first(self, monkeypatch, k_max):
+        # k_max is clamped to n, so the largest grid is x^5 y_5 in each case.
+        def refuse(*args):
+            raise AssertionError("a grid was built before the largest one was refused")
+
+        for name in ("build_xk_yn", "build_zkn"):
+            monkeypatch.setattr(skein, name, refuse)
+        with pytest.raises(CrossingCapExceeded) as info:
+            q_constraints(POWER, 5, k_max, diagram_check=True)
+        assert str(info.value) == "xkyn:5,5 has 25 crossings; the expansion cap is 24"
 
     def test_k_max_truncates(self):
         report = q_constraints(POWER, 3, k_max=1)

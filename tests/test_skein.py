@@ -46,11 +46,13 @@ from skeincalc.skein import (
     CaseResult,
     CrossingCapExceeded,
     DiskMatching,
+    FrontierBudgetExceeded,
     IdealSpec,
     LOOP_VALUE,
     SkeinVector,
     StructureError,
     full_boundary_ideal,
+    grid_identity,
     grid_ideal,
     normal_form,
     resolve_all,
@@ -190,6 +192,24 @@ class TestResolveAll:
         with pytest.raises(CrossingCapExceeded) as info:
             resolve_all(build_xk_yn(2, 3), cap=5)
         assert str(info.value) == "diagram has 6 crossings; the expansion cap is 5"
+
+    def test_grid_identity_refuses_over_cap_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a grid over the cap was built")
+
+        for name in ("build_xk_yn", "build_zkn"):
+            monkeypatch.setattr(skein, name, refuse)
+        with pytest.raises(CrossingCapExceeded) as info:
+            grid_identity(5, 5, 24)
+        assert str(info.value) == "xkyn:5,5 has 25 crossings; the expansion cap is 24"
+
+    def test_frontier_budget_admits_its_own_size(self, monkeypatch):
+        # xkyn:1,N peaks at 2^N partial states: 2^10 fits a budget of 2^10,
+        # and 2^11 does not.
+        monkeypatch.setattr(skein, "MAX_FRONTIER_STATES", 1 << 10)
+        assert len(resolve_all(build_xk_yn(1, 10))) == 1 << 10
+        with pytest.raises(FrontierBudgetExceeded, match="^diagram holds 2048 partial states"):
+            resolve_all(build_xk_yn(1, 11))
 
     def test_rejects_winding_disk_loop(self):
         # The arc a@0-a@1 kills every state before the loop is looked at,
