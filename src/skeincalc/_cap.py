@@ -8,11 +8,11 @@ before building it, and catch every refusal without loading the library.
 
 DEFAULT_CROSSING_CAP = 24
 
-# The most partial states the resolver's frontier may hold after a crossing.
+# The most partial states the resolver's frontier may hold at a crossing.
 # The cap counts crossings, yet an answer's size depends on the diagram's
 # shape (xkyn:1,N has 2^N terms).  resolve xkyn:1,16 peaks at exactly this
-# many states (5 s, 250 MiB), and xkyn:1,24, which the default cap admits,
-# is refused after 3 s and 330 MiB (CPython 3.11, 2-CPU Xeon host).
+# many states (5 s, 252 MiB), and xkyn:1,24, which the default cap admits,
+# is refused after about 3 s and 222 MiB (CPython 3.11, 2-CPU Xeon host).
 MAX_FRONTIER_STATES = 65_536
 
 

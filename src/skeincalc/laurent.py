@@ -11,7 +11,7 @@ checks here.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from operator import index
 
 from ._record import Immutable
@@ -191,21 +191,7 @@ class LaurentPoly(Immutable):
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for e, c in sorted(self._terms.items()):
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                power = "q" if e == 1 else f"q^{e}"
-                body = power if mag == 1 else f"{mag}{power}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return _signed_sum(_monomial(c, "q", e) for e, c in sorted(self._terms.items()))
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self}')"
@@ -218,3 +204,22 @@ ONE = LaurentPoly(1)
 def q_power(e: int) -> LaurentPoly:
     """The unit q^e."""
     return LaurentPoly({e: 1})
+
+
+# -- the one writer for signed sums ------------------------------------------------
+
+
+def _monomial(c: int, x: str, e: int) -> tuple[bool, str]:
+    """c * x^e as (c < 0, body), the body written |c|, x, x^e or |c|x^e."""
+    if e == 0:
+        return c < 0, str(abs(c))
+    power = x if e == 1 else f"{x}^{e}"
+    return c < 0, power if abs(c) == 1 else f"{abs(c)}{power}"
+
+
+def _signed_sum(terms: Iterable[tuple[bool, str]]) -> str:
+    """Join (negative, body) terms: the first keeps its '-', later ones
+    read ' + ' or ' - ', and an empty sum is '0'."""
+    text = "".join((" - " if neg else " + ") + body for neg, body in terms)
+    # The first term drops its " + " and keeps " - " as a bare "-".
+    return ("-" if text[1] == "-" else "") + text[3:] if text else "0"

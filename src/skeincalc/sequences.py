@@ -26,7 +26,7 @@ from typing import Callable, Collection, Iterable, Mapping
 
 from ._cap import MissingEntry
 from ._record import Immutable
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE, ZERO, _monomial, _signed_sum
 
 
 class UniPoly(Immutable):
@@ -99,30 +99,14 @@ class UniPoly(Immutable):
         return (UniPoly, (self._coeffs,))
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self._coeffs[i]
-            if c.is_zero():
-                continue
-            tpow = "" if i == 0 else ("t" if i == 1 else f"t^{i}")
-            citems = c.items()
-            plain = len(citems) == 1 and citems[0][0] == 0
-            if plain:
-                val = citems[0][1]
-                if i == 0:
-                    body, neg = str(abs(val)), val < 0
-                else:
-                    mag = "" if abs(val) == 1 else str(abs(val))
-                    body, neg = f"{mag}{tpow}", val < 0
-            else:
-                body, neg = (f"({c})" if i == 0 else f"({c}){tpow}"), False
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f" - {body}" if neg else f" + {body}")
-        return "".join(parts)
+        # Highest power first; a coefficient that is not a plain integer is
+        # written (c) before its power of t and never carries the sign.
+        def term(i: int, c: LaurentPoly) -> tuple[bool, str]:
+            if c._terms.keys() == {0}:
+                return _monomial(c._terms[0], "t", i)
+            return False, f"({c}){_monomial(1, 't', i)[1] if i else ''}"
+
+        return _signed_sum(term(i, c) for i, c in reversed(list(enumerate(self._coeffs))) if c)
 
     def __repr__(self) -> str:
         return f"UniPoly('{self}')"

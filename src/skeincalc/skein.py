@@ -336,9 +336,9 @@ def _frontier_resolve(
     ends at one marked point, or between the endpoints of an ideal
     generator: no later smoothing touches a finished path, so pruning it
     early agrees with the 2^c state sum.  Surviving states go through
-    _reduce_state, which only names their basis element.  A frontier of
-    more than MAX_FRONTIER_STATES states after any crossing raises
-    FrontierBudgetExceeded.
+    _reduce_state, which only names their basis element.  A frontier
+    raises FrontierBudgetExceeded as soon as it holds state number
+    MAX_FRONTIER_STATES + 1.
     """
     to, w, pos, neg, slots = d.ports()
     ports = len(pos)
@@ -398,11 +398,12 @@ def _frontier_resolve(
                 else:
                     key = (tuple(sorted((a, b, x) for a, (b, x) in ends.items() if a < b)), ess)
                     _accumulate(nxt.setdefault(key, {}), weight, shift, trivial)
-        if len(nxt) > MAX_FRONTIER_STATES:
-            raise FrontierBudgetExceeded(
-                f"diagram holds {len(nxt)} partial states after {ci + 1} of {ports // 4} "
-                f"crossings; the frontier budget is {MAX_FRONTIER_STATES}"
-            )
+                    if len(nxt) > MAX_FRONTIER_STATES:
+                        raise FrontierBudgetExceeded(
+                            f"diagram holds more than {MAX_FRONTIER_STATES} partial states "
+                            f"at crossing {ci + 1} of {ports // 4}; "
+                            f"the frontier budget is {MAX_FRONTIER_STATES}"
+                        )
         frontier = nxt
     acc: dict[BasisElement, dict[int, int]] = {}
     for (paths, essential), weight in frontier.items():
@@ -472,23 +473,22 @@ def grid_identity(k: int, n: int, cap: int) -> tuple[SkeinVector, SkeinVector]:
 
 
 @lru_cache(maxsize=None)
-def _theta_over_cores(k: int, cap: int) -> SkeinVector:
-    """The arc over k core loops, resolved once per (k, cap).
-
-    SkeinVector is immutable, so the cached value is safe to share; a
-    CrossingCapExceeded is raised again on every call, never cached.
-    """
-    return resolve_all(build_theta_over_cores(k), cap=cap)
+def _theta_over_cores(k: int) -> SkeinVector:
+    """The arc over k core loops (k crossings), resolved once per k;
+    SkeinVector is immutable, so the cached value is safe to share."""
+    return resolve_all(build_theta_over_cores(k), cap=k)
 
 
 def theta_bullet(p: UniPoly, *, cap: int = DEFAULT_CROSSING_CAP) -> SkeinVector:
     """The inner-to-outer arc stacked above p(z), expanded exactly.
 
     Linear in p: each power t^k contributes its coefficient times the full
-    resolution of the arc over k core loops.
+    resolution of the arc over k core loops.  The largest arc, over
+    deg p cores, is refused against the cap before any arc is built.
     """
+    refuse_over_cap(f"theta:{p.degree}", p.degree, cap)
     return sum(
-        (_theta_over_cores(k, cap).scaled(ck) for k, ck in enumerate(p.coeffs) if ck),
+        (_theta_over_cores(k).scaled(ck) for k, ck in enumerate(p.coeffs) if ck),
         SkeinVector(),
     )
 

@@ -82,13 +82,13 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "resolve", "xkyn:1,12")
         assert (code, out) == (2, "")
         assert err == (
-            "refusing to expand: diagram holds 1024 partial states after 10 of 12 "
-            "crossings; the frontier budget is 1000\n"
+            "refusing to expand: diagram holds more than 1000 partial states at crossing 10 "
+            "of 12; the frontier budget is 1000\n"
         )
 
     def test_default_cap_grid_ends_under_an_address_space_limit(self):
         # The default cap admits its 24 crossings, and its answer has 2^24
-        # basis terms; the frontier budget refuses it at 2^17 states.
+        # basis terms; the frontier budget refuses it within crossing 17.
         gib = 1 << 30
         src = str(Path(skeincalc.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -100,7 +100,10 @@ class TestExitCodes:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
         )
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr.startswith("refusing to expand: diagram holds 131072 partial states")
+        assert done.stderr == (
+            "refusing to expand: diagram holds more than 65536 partial states at crossing 17 "
+            "of 24; the frontier budget is 65536\n"
+        )
 
     def test_jobs_below_one_is_two(self, capsys):
         code, _, err = run_cli(capsys, "verify-theta", "--n", "1", "--jobs", "0")
@@ -316,7 +319,7 @@ class TestReports:
             raise AssertionError("a grid over the cap was built")
 
         for name in ("build_xk_yn", "build_zkn"):
-            monkeypatch.setattr(diagram, name, refuse)
+            monkeypatch.setattr(skein, name, refuse)
         code, out, err = run_cli(capsys, "arc-constraints", "--n", "5", "--diagram-check")
         assert (code, out) == (2, "")
         assert "refusing to expand: xkyn:5,5 has 25 crossings" in err

@@ -192,3 +192,7 @@ class TestRendering:
         assert str(lp({0: 5})) == "5"
         assert str(lp({1: -1})) == "-q"
         assert str(lp({-3: 2, 0: 1})) == "2q^-3 + 1"
+        assert str(lp({1: 1})) == "q"
+        assert str(lp({-1: -2})) == "-2q^-1"
+        assert str(lp({-1: 1, 1: -1})) == "q^-1 - q"
+        assert str(lp({0: -3, 2: 1})) == "-3 + q^2"

@@ -217,6 +217,16 @@ class TestUniPoly:
         assert str(chebyshev(3)) == "t^3 - 3t"
         assert str(UniPoly()) == "0"
         assert str(UniPoly([LaurentPoly({1: 1, -1: 1}), 1])) == "t + (q^-1 + q)"
+        assert str(UniPoly([-1, -1])) == "-t - 1"
+        assert str(UniPoly([0, 3])) == "3t"
+        assert str(UniPoly([0, 0, -1])) == "-t^2"
+        assert str(UniPoly([-1, 0, 1])) == "t^2 - 1"
+        # A coefficient that is not a plain integer is written (c) and
+        # never carries the term's sign.
+        assert str(UniPoly([LaurentPoly({1: 1})])) == "(q)"
+        assert str(UniPoly([0, LaurentPoly({1: 1})])) == "(q)t"
+        assert str(UniPoly([1, 0, LaurentPoly({-1: -1, 1: 1})])) == "(-q^-1 + q)t^2 + 1"
+        assert str(UniPoly([LaurentPoly({2: 2}), -2, 1])) == "t^2 - 2t + (2q^2)"
 
     def test_scalar_mul(self):
         assert chebyshev(2) * LaurentPoly(2) == UniPoly([-4, 0, 2])

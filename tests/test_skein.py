@@ -208,8 +208,15 @@ class TestResolveAll:
         # and 2^11 does not.
         monkeypatch.setattr(skein, "MAX_FRONTIER_STATES", 1 << 10)
         assert len(resolve_all(build_xk_yn(1, 10))) == 1 << 10
-        with pytest.raises(FrontierBudgetExceeded, match="^diagram holds 2048 partial states"):
+        with pytest.raises(FrontierBudgetExceeded) as info:
             resolve_all(build_xk_yn(1, 11))
+        assert str(info.value) == (
+            "diagram holds more than 1024 partial states at crossing 11 of 11; "
+            "the frontier budget is 1024"
+        )
+        monkeypatch.setattr(skein, "MAX_FRONTIER_STATES", (1 << 10) - 1)
+        with pytest.raises(FrontierBudgetExceeded, match="at crossing 10 of 10;"):
+            resolve_all(build_xk_yn(1, 10))
 
     def test_rejects_winding_disk_loop(self):
         # The arc a@0-a@1 kills every state before the loop is looked at,
@@ -389,6 +396,16 @@ class TestThetaBullet:
             with pytest.raises(CrossingCapExceeded):
                 theta_bullet(POWER[3], cap=2)
         assert theta_bullet(POWER[3], cap=3) == theta_bullet(POWER[3])
+
+    def test_refuses_before_building_any_arc(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an arc was built before the largest one was refused")
+
+        monkeypatch.setattr(skein, "build_theta_over_cores", refuse)
+        skein._theta_over_cores.cache_clear()
+        with pytest.raises(CrossingCapExceeded) as info:
+            theta_bullet(chebyshev(30), cap=24)
+        assert str(info.value) == "theta:30 has 30 crossings; the expansion cap is 24"
 
     def test_laurent_coefficients_pass_through(self):
         p = UniPoly([LaurentPoly({2: 3}), 0, ONE])
