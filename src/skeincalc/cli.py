@@ -73,7 +73,7 @@ def load_sequence(spec: str) -> Sequence:
     import json
 
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=unique)
     except OSError as exc:
         raise UsageError(f"cannot read sequence file {spec!r}: {exc}") from exc

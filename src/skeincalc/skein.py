@@ -8,13 +8,14 @@ Bar-Natan, "Fast Khovanov homology computations", arXiv:math/0606318):
 states that agree so far are merged, trivial loops are factored out as
 they close, and disk states die as soon as a finished arc is a trivial
 arc or an ideal generator.  A crossingless diagram is a frontier of zero
-steps, so normal forms take the same path.  The diagram is validated and
-compiled to port arrays once per call, by Diagram.ports(); loops are
-classified only by the frontier, and _reduce_state only names the basis
-element of a surviving state.  The brute-force references that tests
-compare against -- the 2^c state scan, the single-crossing fold and the
-torus-knot Jones polynomials -- live in tests/.  Normal forms per
-surface:
+steps, so normal forms take the same path.  One function, _resolve,
+refuses a diagram over the cap, compiles it to port arrays by
+Diagram.ports(), resolves it and reads out the result; one rule,
+_essential, classifies every closed loop, and _reduce_state only names
+the basis element of a surviving state.  The brute-force references that
+tests compare against -- the 2^c state scan, the single-crossing fold
+and the torus-knot Jones polynomials -- live in tests/.  Normal forms
+per surface:
 
 * annulus: winding-0 loops each contribute the scalar -q^2 - q^-2; the
   surviving core-parallel loops give the basis element z^m;
@@ -316,49 +317,53 @@ def _accumulate(
                 del bucket[k]
 
 
-def _frontier_resolve(
-    d: Diagram, ideal: IdealSpec | None
-) -> dict[BasisElement, dict[int, int]]:
-    """Resolve the crossings one at a time, merging equal partial states.
+def _essential(winding: int) -> int:
+    """1 for a closed loop of winding +-1, which is essential, and 0 for
+    a winding-0 loop, which is trivial; a larger winding cannot occur for
+    an embedded diagram and raises StructureError."""
+    if abs(winding) > 1:
+        raise StructureError(f"embedded loops cannot wind {abs(winding)} times")
+    return abs(winding)
+
+
+def _resolve(d: Diagram, ideal: IdealSpec | None, cap: int) -> SkeinVector:
+    """Refuse d over the cap, then resolve its crossings one at a time,
+    merging equal partial states.
 
     A partial state is the set of open paths that pass through at least
     one resolved crossing, each (node_a, node_b, seam winding from a to b)
     with node_a < node_b, plus the number of essential loops closed so
-    far; edges that touch no resolved crossing are the same in every
-    state and stay implicit.  Its value is the raw {exponent:
-    coefficient} weight summed over every choice of smoothings reaching
-    it.  This is the one place loops are classified: the diagram's free
-    loops seed the first state, and every loop closed later is counted
-    the same way, a loop of winding 0 factored out as -q^2 - q^-2 and
-    one of winding 1 counted as essential, while a larger winding cannot
-    occur for an embedded diagram and raises StructureError.  On a disk,
-    a state dies as soon as a slot-to-slot path is finished with both
-    ends at one marked point, or between the endpoints of an ideal
-    generator: no later smoothing touches a finished path, so pruning it
-    early agrees with the 2^c state sum.  Surviving states go through
-    _reduce_state, which only names their basis element.  A frontier
-    raises FrontierBudgetExceeded as soon as it holds state number
-    MAX_FRONTIER_STATES + 1.
+    far.  Its value is the raw {exponent: coefficient} weight summed over
+    every choice of smoothings reaching it.  Slot-to-slot edges touch no
+    crossing, so they are listed once, as fixed, and read by the kill
+    check and by the read-out.  Every closed loop goes through _essential:
+    the diagram's free loops seed the first state and each loop a
+    smoothing closes is counted the same way, a trivial one factored out
+    as -q^2 - q^-2.  On a disk, a state dies as soon as a slot-to-slot
+    path is finished with both ends at one marked point, or between the
+    endpoints of an ideal generator: no later smoothing touches a finished
+    path, so pruning it early agrees with the 2^c state sum.  Surviving
+    states go through _reduce_state, which only names their basis
+    element.  A frontier raises FrontierBudgetExceeded as soon as it holds
+    state number MAX_FRONTIER_STATES + 1.
     """
+    refuse_over_cap("diagram", d.crossing_count, cap)
     to, w, pos, neg, slots = d.ports()
     ports = len(pos)
-    slot_nodes = range(ports, len(to))
+    fixed = [(s, t, w[s]) for s, t in enumerate(to) if ports <= s < t]
     kills: set[tuple[int, int]] = set()
     if isinstance(d.surface, Disk):
         at: dict[str, list[int]] = {}
-        for v in slot_nodes:
-            at.setdefault(slots[v - ports][0], []).append(v)
+        for v, (p, _) in enumerate(slots, ports):
+            at.setdefault(p, []).append(v)
         gens = ideal.generators if ideal is not None else ()
         for pa, pb in [(p, p) for p in at] + list(gens) + [(b, a) for a, b in gens]:
             kills.update((a, b) for a in at.get(pa, ()) for b in at.get(pb, ()))
-    if any((s, to[s]) in kills for s in slot_nodes):
-        return {}
-    wound = [x for x in d.loops if x > 1]
-    if wound:
-        raise StructureError(f"embedded loops cannot wind {wound[0]} times")
-    trivial = d.loops.count(0)
+    if any((s, t) in kills for s, t, _ in fixed):
+        return SkeinVector()
+    essential = sum(map(_essential, d.loops))
     frontier: dict[tuple, dict[int, int]] = {
-        ((), len(d.loops) - trivial): dict(_loop_terms(trivial))
+        ((), essential): dict(_loop_terms(len(d.loops) - essential))
     }
     for ci in range(ports // 4):
         smoothings = [
@@ -381,12 +386,9 @@ def _frontier_resolve(
                     x, wx = ends.pop(p) if p in ends else (to[p], w[p])
                     if x == r:
                         ends.pop(r, None)
-                        if wx == 0:
-                            trivial += 1
-                        elif abs(wx) == 1:
-                            ess += 1
-                        else:
-                            raise StructureError(f"embedded loops cannot wind {abs(wx)} times")
+                        closed = _essential(wx)
+                        ess += closed
+                        trivial += 1 - closed
                         continue
                     ends.pop(x, None)
                     y, wy = ends.pop(r) if r in ends else (to[r], w[r])
@@ -407,32 +409,16 @@ def _frontier_resolve(
         frontier = nxt
     acc: dict[BasisElement, dict[int, int]] = {}
     for (paths, essential), weight in frontier.items():
-        if not weight:
-            continue
-        partner = {s: (to[s], w[s]) for s in slot_nodes}
-        for a, b, x in paths:
-            partner[a] = (b, x)
-            partner[b] = (a, -x)
-        # Slot nodes run in (marked point, height) order, so each arc starts
-        # at its lower end and the arcs come sorted, as _reduce_state takes them.
-        arcs = [
-            (*slots[s - ports], *slots[t - ports], wind)
-            for s, (t, wind) in partner.items()
-            if s < t
-        ]
-        elem = _reduce_state(d.surface, arcs, essential)
-        _accumulate(acc.setdefault(elem, {}), weight, 0, 0)
-    return acc
-
-
-def _resolve(
-    d: Diagram,
-    ideal: IdealSpec | None,
-    cap: int,
-) -> SkeinVector:
-    refuse_over_cap("diagram", d.crossing_count, cap)
-    raw = _frontier_resolve(d, ideal)
-    return SkeinVector({elem: LaurentPoly._adopt(terms) for elem, terms in raw.items()})
+        if weight:
+            # Slot nodes run in (marked point, height) order, so each arc
+            # starts at its lower end and the arcs come sorted, as
+            # _reduce_state takes them.
+            arcs = [
+                (*slots[a - ports], *slots[b - ports], x) for a, b, x in sorted(fixed + list(paths))
+            ]
+            elem = _reduce_state(d.surface, arcs, essential)
+            _accumulate(acc.setdefault(elem, {}), weight, 0, 0)
+    return SkeinVector({elem: LaurentPoly._adopt(terms) for elem, terms in acc.items()})
 
 
 def resolve_all(d: Diagram, *, cap: int = DEFAULT_CROSSING_CAP) -> SkeinVector:

@@ -1,7 +1,8 @@
 """Shared test helpers: the brute-force oracles the frontier resolver is
 checked against (a 2^c state scan, a single-crossing fold, closed braids
 with known Jones polynomials, in word order or in a frontier-widening
-order, open braids across a marked disk), the
+order, open braids across a marked disk, and both kinds of braid
+evaluated in the Temperley-Lieb algebra), the
 edge-map crossing resolution the fold and enumerate_states run on (the
 package traces components only in its frontier resolver), a JSON
 description of diagrams, the dict-buffer reference for the packed
@@ -318,23 +319,18 @@ def at_minus_one(p: LaurentPoly) -> int:
     return sum(c * (-1) ** e for e, c in p.items())
 
 
-def tl_closed_braid(word: list[int], surface=Disk()) -> SkeinVector:
-    """The closure of word on the unmarked disk or the annulus, as
-    closed_braid draws it, evaluated in the Temperley-Lieb algebra TL_s
-    (Jones, Hecke algebra representations of braid groups and link
-    polynomials, Ann. Math. 126, 1987): no diagram and no crossing is
-    built, so nothing is shared with the frontier resolver.
+def tl_braid(word: list[int], s: int) -> dict[tuple[int, ...], LaurentPoly]:
+    """word on s strands in the Temperley-Lieb algebra TL_s (Jones, Hecke
+    algebra representations of braid groups and link polynomials, Ann.
+    Math. 126, 1987), as {matching: coefficient}: no diagram and no
+    crossing is built, so nothing is shared with the frontier resolver.
 
     A basis element of TL_s is a planar perfect matching of 2s points:
     bottom positions 1..s are points 0..s-1 and top positions s..2s-1.
     Letters act from the top in word order, sigma_i as q + q^-1 e_i and
     its inverse as q^-1 + q e_i, signs that the one-letter closures
-    (the kinks) fix.  Closing joins top position j to bottom position j.
-    On the disk every loop is worth delta = -q^2 - q^-2; on the annulus
-    each closure edge goes once around the core, so a loop of winding 0
-    is worth delta and one of winding +-1 is a factor of z.
+    (the kinks) fix; a loop that e_i closes is worth delta = -q^2 - q^-2.
     """
-    s = max(map(abs, word)) + 1
     state = {tuple(range(s, 2 * s)) + tuple(range(s)): ONE}
     for letter in word:
         one, e = (1, -1) if letter > 0 else (-1, 1)
@@ -351,9 +347,21 @@ def tl_closed_braid(word: list[int], surface=Disk()) -> SkeinVector:
                 key = tuple(joined)
                 nxt[key] = nxt.get(key, ZERO) + c.shifted(e)
         state = {m: c for m, c in nxt.items() if c}
+    return state
+
+
+def tl_closed_braid(word: list[int], surface=Disk()) -> SkeinVector:
+    """The closure of word on the unmarked disk or the annulus, as
+    closed_braid draws it, evaluated by tl_braid.  Closing joins top
+    position j to bottom position j.  On the disk every loop is worth
+    delta = -q^2 - q^-2; on the annulus each closure edge goes once
+    around the core, so a loop of winding 0 is worth delta and one of
+    winding +-1 is a factor of z.
+    """
+    s = max(map(abs, word)) + 1
     delta = LaurentPoly({2: -1, -2: -1})
     out: dict = {}
-    for m, c in state.items():
+    for m, c in tl_braid(word, s).items():
         seen, trivial, essential = set(), 0, 0
         for start in range(2 * s):
             if start in seen:
@@ -374,6 +382,37 @@ def tl_closed_braid(word: list[int], surface=Disk()) -> SkeinVector:
                 raise StructureError(f"a closed TL loop winds {winding} times")
         elem = DiskMatching((), ()) if isinstance(surface, Disk) else AnnulusPower(essential)
         out[elem] = out.get(elem, ZERO) + c * delta**trivial
+    return SkeinVector(out)
+
+
+def tl_open_braid(
+    word: list[int], bottom: list[str], top: list[str], ideal: IdealSpec | None = None
+) -> SkeinVector:
+    """word run across a marked disk as open_braid draws it, evaluated by
+    tl_braid with no closure, modulo ideal when one is given.
+
+    With s = len(bottom) strands, end u of the matching sits at
+    bottom[u] for u < s and at top[u - s] otherwise.  The heights at a
+    point count its ends left to right, bottom ends first, as open_braid
+    numbers them, and the points run in open_braid's order: the top ones
+    left to right, then the bottom ones right to left.  A term dies when a chord has both ends at one point
+    or joins the two points of an ideal generator; the rest are
+    DiskMatchings, each chord listing its lower (point index, height)
+    end first and the chords sorted in that order.
+    """
+    points = (*dict.fromkeys(top), *reversed(dict.fromkeys(bottom)))
+    index = {p: i for i, p in enumerate(points)}
+    at = [*bottom, *top]
+    place = [(index[p], at[:u].count(p)) for u, p in enumerate(at)]
+    gens = set() if ideal is None else set(ideal.generators)
+    out: dict = {}
+    for m, c in tl_braid(word, len(bottom)).items():
+        ends = sorted((place[u], place[v]) for u, v in enumerate(m) if place[u] < place[v])
+        chords = tuple((points[a], ha, points[b], hb) for (a, ha), (b, hb) in ends)
+        if any(a == b or tuple(sorted((a, b))) in gens for a, _, b, _ in chords):
+            continue
+        elem = DiskMatching(points, chords)
+        out[elem] = out.get(elem, ZERO) + c
     return SkeinVector(out)
 
 

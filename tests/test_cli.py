@@ -513,6 +513,23 @@ class TestReports:
         assert (code, out) == (2, "")
         assert err.startswith("error: sequence file") and "Traceback" not in err
 
+    def test_sequence_file_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # JSON is UTF-8 (RFC 8259).  A file opened with the locale's encoding
+        # raises this warning, which the flags turn into a traceback, exit 1.
+        strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+        good, bad = tmp_path / "ok.json", tmp_path / "bad.json"
+        good.write_text('{"base": "chebyshev", "polys": {"2": [-2, 0, 1]}}')
+        bad.write_bytes(b"[[1], [0, 1], [\xff, 0, 1]]")
+        done = run_fresh(*strict, "-m", "skeincalc", "minimality", "--seq", str(good), "--n", "2")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.endswith("conclusion: consistent\n")
+        done = run_fresh(*strict, "-m", "skeincalc", "minimality", "--seq", str(bad), "--n", "2")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            f"error: sequence file {str(bad)!r} is not valid JSON: 'utf-8' codec can't decode "
+            "byte 0xff in position 15: invalid start byte\n"
+        )
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_report_prints_integers_over_the_str_limit(self, capsys, tmp_path, fmt):
         # A 4,300-digit literal N is the longest the loader accepts, and

@@ -18,6 +18,7 @@ from conftest import (
     resolve_crossing,
     scan_resolve,
     tl_closed_braid,
+    tl_open_braid,
     wide_closed_braid,
 )
 from skeincalc.diagram import (
@@ -559,14 +560,36 @@ def open_braids(draw):
     length = draw(st.integers(0, 12))
     word = draw(st.lists(letter, min_size=length, max_size=length))
     order = draw(st.permutations(range(len(word))))
-
-    def ends(side: str) -> list[str]:
-        new_point = draw(st.lists(st.booleans(), min_size=strands - 1, max_size=strands - 1))
-        return [f"{side}{k}" for k in itertools.accumulate(new_point, initial=0)]
-
-    bottom, top = ends("b"), ends("t")
+    bottom, top = shared_ends(draw, strands, "b"), shared_ends(draw, strands, "t")
     points = open_braid([], bottom, top).surface.points
     return (word, bottom, top, order), boundary_arc_ideal(draw, points)
+
+
+def shared_ends(draw, strands: int, side: str) -> list[str]:
+    """The marked points of one side's strand ends, left to right: each
+    strand starts a new point or shares its left neighbour's at random."""
+    new_point = draw(st.lists(st.booleans(), min_size=strands - 1, max_size=strands - 1))
+    return [f"{side}{k}" for k in itertools.accumulate(new_point, initial=0)]
+
+
+@st.composite
+def long_open_braids(draw):
+    """A braid word of 2-6 strands and 40-200 letters of random signs, the
+    length drawn first, run across a marked disk in word order, with ends
+    shared as open_braids shares them.  In about half the draws on 3 or
+    more strands no letter touches the last strand, which is then one
+    edge from its bottom point to its top point.  Returns the open_braid
+    arguments and, in about half the draws, a random boundary-arc ideal
+    of its disk (None otherwise, or when it draws no arc)."""
+    length = draw(st.integers(40, 200))
+    strands = draw(st.integers(2, 6))
+    touched = strands - draw(st.booleans()) if strands > 2 else strands
+    letter = st.integers(1, touched - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    word = draw(st.lists(letter, min_size=length, max_size=length))
+    bottom, top = shared_ends(draw, strands, "b"), shared_ends(draw, strands, "t")
+    points = open_braid([], bottom, top).surface.points
+    ideal = boundary_arc_ideal(draw, points) if draw(st.booleans()) else None
+    return (word, bottom, top), ideal
 
 
 # Shrinking re-runs a test on every candidate it tries: the 2^c scan and
@@ -642,6 +665,21 @@ class TestFrontierAgainstOracles:
             assert all(lo < hi for lo, hi in keys)
             assert all(x < y for x, y in zip(keys, keys[1:]))
             assert sorted(end for key in keys for end in key) == sorted(boundary)
+
+    @settings(
+        max_examples=12, derandomize=True, deadline=None, database=None, phases=LONG_WORD_PHASES
+    )
+    @given(long_open_braids())
+    def test_long_open_braids_match_temperley_lieb(self, case):
+        # conftest.tl_open_braid builds no diagram: it numbers heights and
+        # kills chords on its own, so it checks the slot numbering of
+        # Diagram.ports(), the ideal kill set and the untouched slot edges.
+        (word, bottom, top), ideal = case
+        d = open_braid(word, bottom, top)
+        assert resolve_all(d, cap=len(word)) == tl_open_braid(word, bottom, top)
+        if ideal is not None:
+            got = resolve_all_mod(d, ideal, cap=len(word))
+            assert got == tl_open_braid(word, bottom, top, ideal)
 
     def test_open_braid_shared_points_and_ideal_kill(self):
         # The negative smoothing of sigma_1 joins the two ends at b0, and
@@ -824,6 +862,16 @@ class TestTemperleyLieb:
         [3, 1, 3, -1, -5, -5, -3, 1, 2, -2, 2, -2, -3, 4, -4, 1, -2, -2, -5, 5],
         [3, -1, -4, 4, 3, 3, -4, 4, 4, 5, 3, -5, 4, -2, -4, -5, 2, -4, 5, 3, -5, 2, 3],
     ]
+
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(long_braid_words(min_strands=3, max_strands=6, min_letters=12, max_letters=16))
+    def test_random_wide_frontier_orders_match(self, word):
+        # At most 16 letters: a widening order of 16-20 letters takes about
+        # four times as long, and one of 29 letters passed the frontier
+        # budget.  Winding-1 loops close here while many paths are open.
+        for surface in (Disk(), Annulus()):
+            d, _ = wide_closed_braid(word, surface)
+            assert resolve_all(d, cap=len(word)) == tl_closed_braid(word, surface)
 
     @pytest.mark.parametrize("word", WIDE_WORDS, ids=["s4", "s5", "s6", "s6-long"])
     def test_wide_frontier_orders_match(self, word):
