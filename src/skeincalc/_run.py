@@ -1,16 +1,17 @@
 """The runner: one parsed command in, one exit code out.
 
-run holds the one command table and the one exit-code mapping: every
-command returns (ok, report), and run renders the report through
-emit_report, the one renderer entry for every report type, or maps a
-refusal (UsageError, MissingEntry, CrossingCapExceeded,
-FrontierBudgetExceeded) to exit 2.  The commands that resolve a diagram
-(verify-theta, verify-zkn, verify-d1 and resolve) live here with the
-identity and vector renderers, so they load only the resolver
-(diagram.py, skein.py and laurent.py), and verify-theta sequences.py for
-chebyshev.  The report commands (audit, minimality and arc-constraints)
-live in cli.py with positivity.py and sequences.py, which load only when
-one of them runs.
+_COMMANDS is the one table from a command to its code: each row names a
+module, the command function in it and the renderer of its report.  run
+calls the function, which returns (ok, report), and prints the report
+through emit_report, the one renderer entry, or maps a refusal
+(UsageError, MissingEntry, CrossingCapExceeded, FrontierBudgetExceeded)
+to exit 2.  A row's module is imported on first use.  The commands that
+resolve a diagram (verify-theta, verify-zkn, verify-d1 and resolve) live
+here with the identity and vector renderers, so they load only the
+resolver (diagram.py, skein.py and laurent.py), and verify-theta
+sequences.py for chebyshev.  The report commands (audit, minimality and
+arc-constraints) live in cli.py with their renderers, so cli.py, and the
+positivity.py and sequences.py it loads, load only when one of them runs.
 
 Exit codes are a stable contract: 0 all checks pass, 1 a verification or
 constraint failed, 2 usage error (bad bounds, a size over its limit, bad
@@ -83,30 +84,6 @@ class IdentityReport(Record):
 
     def ok(self) -> bool:
         return all(c.passes() for c in self.cases)
-
-
-def emit_report(report, fmt: str, q1: bool = False) -> str:
-    """Deterministic rendering of any report object in the chosen format.
-
-    A report's class belongs to a module that has loaded, so the library
-    types are looked up in sys.modules: no module loads only to rule a
-    type out.  The constraint and audit renderers live in cli.py."""
-    if isinstance(report, IdentityReport):
-        return _emit_identity(report, fmt, q1)
-    skein = sys.modules.get(f"{__package__}.skein")
-    if skein is not None and isinstance(report, skein.SkeinVector):
-        return _emit_vector(report, fmt, q1)
-    positivity = sys.modules.get(f"{__package__}.positivity")
-    if positivity is not None:
-        if isinstance(report, positivity.ConstraintReport):
-            from .cli import _emit_constraints
-
-            return _emit_constraints(report, fmt, q1)
-        if isinstance(report, positivity.AuditReport):
-            from .cli import _emit_audit
-
-            return _emit_audit(report, fmt, q1)
-    raise TypeError(f"no renderer for {type(report).__name__}")
 
 
 def _emit_vector(v: SkeinVector, fmt: str, q1: bool) -> str:
@@ -292,16 +269,32 @@ def _cmd_resolve(args: argparse.Namespace) -> tuple[bool, SkeinVector]:
     return True, vec
 
 
-# A report command's entry names its cli.py function: only they load cli.py.
+# Each command's row: its module, its function and its renderer.  A module
+# is imported on first use, so only a report command loads cli.
 _COMMANDS = {
-    "verify-theta": _cmd_verify_theta,
-    "verify-zkn": _cmd_verify_zkn,
-    "verify-d1": _cmd_verify_d1,
-    "audit": "_cmd_audit",
-    "minimality": "_cmd_minimality",
-    "arc-constraints": "_cmd_arc_constraints",
-    "resolve": _cmd_resolve,
+    "verify-theta": ("_run", "_cmd_verify_theta", "_emit_identity"),
+    "verify-zkn": ("_run", "_cmd_verify_zkn", "_emit_identity"),
+    "verify-d1": ("_run", "_cmd_verify_d1", "_emit_identity"),
+    "audit": ("cli", "_cmd_audit", "_emit_audit"),
+    "minimality": ("cli", "_cmd_minimality", "_emit_constraints"),
+    "arc-constraints": ("cli", "_cmd_arc_constraints", "_emit_constraints"),
+    "resolve": ("_run", "_cmd_resolve", "_emit_vector"),
 }
+
+
+def _load(command: str):
+    """The function and the renderer that command's row names."""
+    from importlib import import_module
+
+    module, function, renderer = _COMMANDS[command]
+    owner = import_module(f"{__package__}.{module}")
+    return getattr(owner, function), getattr(owner, renderer)
+
+
+def emit_report(command: str, report, fmt: str, q1: bool = False) -> str:
+    """A command's report rendered in the chosen format by the renderer
+    its row names: the one renderer entry for every report."""
+    return _load(command)[1](report, fmt, q1)
 
 
 def run(args: argparse.Namespace) -> int:
@@ -311,12 +304,7 @@ def run(args: argparse.Namespace) -> int:
             raise UsageError("--jobs must be >= 1")
         if args.cap < 0:
             raise UsageError("--cap must be >= 0")
-        command = _COMMANDS[args.command]
-        if isinstance(command, str):
-            from . import cli
-
-            command = getattr(cli, command)
-        ok, report = command(args)
+        ok, report = _load(args.command)[0](args)
     except (UsageError, MissingEntry) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -330,7 +318,7 @@ def run(args: argparse.Namespace) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        print(emit_report(report, args.fmt, args.q1))
+        print(emit_report(args.command, report, args.fmt, args.q1))
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

@@ -8,13 +8,13 @@ identity and vector renderers.  Commands read the argparse namespace,
 which holds the only defaults, and return (ok, report) to the runner,
 which renders the report and maps every refusal to an exit code.
 
-The runner imports this module only to run a report command or render a
-report of one, so verify-*, resolve, --help and usage errors never
-compile it.  main and emit_report stay importable from here, where the
-benchmark reads them.  positivity.py and sequences.py load at the top,
-not inside the commands, because the traced benchmark binds its spans
-through sys.modules right after importing this module.  Only
-arc-constraints --diagram-check loads diagram.py and skein.py.
+Only a report command's row in the runner's table names this module, so
+verify-*, resolve, --help and usage errors never compile it.  main and
+emit_report stay importable from here, where the benchmark reads them.
+positivity.py and sequences.py load at the top, not inside the commands,
+because the traced benchmark binds its spans through sys.modules right
+after importing this module.  Only arc-constraints --diagram-check loads
+diagram.py and skein.py.
 """
 
 from __future__ import annotations

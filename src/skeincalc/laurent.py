@@ -134,7 +134,8 @@ class LaurentPoly(Immutable):
         return out
 
     def shifted(self, k: int) -> "LaurentPoly":
-        """Multiplication by the unit q^k."""
+        """Multiplication by the unit q^k, for an exact integer k."""
+        k = index(k)
         return LaurentPoly._adopt({e + k: c for e, c in self._terms.items()})
 
     # -- the positive cone and the q=1 specialization ------------------------

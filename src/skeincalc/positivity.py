@@ -195,8 +195,8 @@ class AuditRow(Record):
 class AuditReport(Record):
     """One row per product seq[m] * seq[n] with m <= n <= max_n.
 
-    Its own type, not a bare tuple of rows, so emit_report can dispatch
-    on it."""
+    Its own type, not a bare tuple of rows, so that ok(q1) owns the
+    audit's verdict."""
 
     __slots__ = ("rows",)  # tuple[AuditRow, ...]
 

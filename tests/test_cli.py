@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, formats, determinism."""
 
+import argparse
 import ast
 import collections
 import concurrent.futures
 import contextlib
 import gc
+import hashlib
+import importlib
 import io
 import json
 import multiprocessing.process
@@ -578,16 +581,49 @@ class TestResolve:
         assert code == 0
         assert out.strip() == "0"
 
-    def test_unknown_report_type_raises(self):
-        with pytest.raises(TypeError, match="no renderer for dict"):
-            cli.emit_report({}, "json")
+    def test_every_command_has_one_row(self):
+        # The parser's commands are the command table's keys, and every
+        # row's module, function and renderer resolve; a command with no
+        # row has no renderer.
+        parser = _parser.build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(_run._COMMANDS)
+        for module, *names in _run._COMMANDS.values():
+            code = importlib.import_module(f"skeincalc.{module}")
+            assert all(callable(getattr(code, name)) for name in names)
+        with pytest.raises(KeyError):
+            _run.emit_report("no-such-command", skein.SkeinVector(), "text")
 
     def test_one_renderer_for_every_report(self):
         # The traced render span wraps cli.emit_report, and with it the
-        # runner's binding: both names hold one function.
+        # runner's binding: both names hold one function, which renders a
+        # report with the renderer of its command's row.
         assert cli.emit_report is _run.emit_report
-        with pytest.raises(TypeError, match="^no renderer for object$"):
-            _run.emit_report(object(), "text")
+        v = skein.resolve_all(diagram.build_kink(1))
+        for fmt in ("text", "json", "tsv"):
+            assert _run.emit_report("resolve", v, fmt) == _run._emit_vector(v, fmt, False)
+
+    @pytest.mark.parametrize(
+        "argv", [["verify-d1"], ["audit", "--max-n", "2"]], ids=["verify-d1", "audit"]
+    )
+    def test_every_report_renders_through_emit_report_once(self, argv, capsys, monkeypatch):
+        # bench/trace_cmd.py times rendering by rebinding emit_report in every
+        # skeincalc module; a runner that rendered around it would time 0.
+        original, rendered = _run.emit_report, []
+
+        def counting(*args):
+            rendered.append(original(*args))
+            return rendered[-1]
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "skeincalc":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(rendered) == 1
+        assert out == rendered[0] + "\n"
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "resolve", "theta:1", "--format", "json")
@@ -603,7 +639,27 @@ class TestResolve:
         assert out.strip() == "2"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# Each golden command's exit code and stdout digest: --help, every README
+# command in each format and every benchmark workload command.
+GOLDEN = json.loads((ROOT / "bench" / "golden.json").read_text())["commands"]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("command", GOLDEN)
+    def test_matches_the_golden(self, command, capsys, monkeypatch):
+        # As the benchmark runs them: from the repository root (sequence
+        # files are named relative to it), with help wrapped at 80 columns.
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = _parser.main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out.encode("utf-8")
+        want = GOLDEN[command]
+        assert (code, hashlib.sha256(out).hexdigest()) == (want["exit"], want["sha256"])
+
     def test_byte_identical_across_jobs(self, capsys):
         outputs = []
         for jobs in ("1", "2"):
@@ -780,12 +836,21 @@ class TestStartup:
         assert gc.get_freeze_count() == before
 
     def test_picking_a_renderer_loads_no_library_module(self):
+        # A resolver command's renderer is the runner's own; a report
+        # command's row loads cli, which loads no resolver module.
         loaded = loaded_after(
-            "import contextlib, skeincalc._run\n"
-            "with contextlib.suppress(TypeError):\n"
-            "    skeincalc._run.emit_report(object(), 'text')"
+            "import skeincalc._run as r\n"
+            "r.emit_report('verify-d1', r.IdentityReport('x', 'y', ()), 'text')"
         )
         assert set(loaded) == RUNNER - {"skeincalc._parser"}
+        loaded = set(
+            loaded_after(
+                "import skeincalc._run as r\nfrom skeincalc.positivity import AuditReport\n"
+                "r.emit_report('audit', AuditReport(()), 'text')"
+            )
+        )
+        assert "skeincalc.cli" in loaded
+        assert not RESOLVER & loaded
 
     @pytest.mark.parametrize(
         "argv",

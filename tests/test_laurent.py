@@ -53,6 +53,12 @@ class TestArithmetic:
     def test_shifted(self):
         assert lp({0: 1, 2: -1}).shifted(-2) == lp({-2: 1, 0: -1})
 
+    @pytest.mark.parametrize("k", [0.5, 1.0])
+    def test_shifted_takes_an_integer_only(self, k):
+        # As q_power and the constructor: q^0.5 is not in Z[q, q^-1].
+        with pytest.raises(TypeError):
+            lp({1: 1}).shifted(k)
+
     def test_ring_axioms_random(self, rng):
         for _ in range(200):
             a, b, c = (random_laurent(rng) for _ in range(3))

@@ -210,21 +210,28 @@ class TestAudit:
 
 WOBBLE = LaurentPoly({1: 1, -1: -1})  # q - q^-1: outside R_+, but 0 at q = 1
 
-# Loop and arc reports of both reachable conclusions; the wobbles change at q = 1.
+# Loop and arc reports of both reachable conclusions, each with the command
+# that renders it; the wobbles change at q = 1.
 REPORTS = {
-    "loop t+1": lambda: minimality_constraints(plus_one_sequence(), 2),
-    "loop wobble": lambda: minimality_constraints(
-        Sequence.custom({1: UniPoly([WOBBLE, 1])}, base=CHEBYSHEV), 2
+    "loop t+1": ("minimality", lambda: minimality_constraints(plus_one_sequence(), 2)),
+    "loop wobble": (
+        "minimality",
+        lambda: minimality_constraints(
+            Sequence.custom({1: UniPoly([WOBBLE, 1])}, base=CHEBYSHEV), 2
+        ),
     ),
-    "arc power": lambda: q_constraints(POWER, 2, diagram_check=True),
-    "arc wobble": lambda: q_constraints(
-        Sequence.custom({2: UniPoly([WOBBLE, 0, 1])}, base=POWER), 2, diagram_check=True
+    "arc power": ("arc-constraints", lambda: q_constraints(POWER, 2, diagram_check=True)),
+    "arc wobble": (
+        "arc-constraints",
+        lambda: q_constraints(
+            Sequence.custom({2: UniPoly([WOBBLE, 0, 1])}, base=POWER), 2, diagram_check=True
+        ),
     ),
 }
 
 
-def as_json(report, q1=False):
-    return json.loads(cli.emit_report(report, "json", q1))
+def as_json(report, q1=False, command="minimality"):
+    return json.loads(cli.emit_report(command, report, "json", q1))
 
 
 class TestReportShape:
@@ -266,17 +273,18 @@ class TestReportShape:
         ]
 
     @pytest.mark.parametrize("q1", [False, True])
-    @pytest.mark.parametrize("make", REPORTS.values(), ids=REPORTS.keys())
-    def test_every_format_carries_the_one_conclusion(self, make, q1):
+    @pytest.mark.parametrize("command, make", REPORTS.values(), ids=REPORTS.keys())
+    def test_every_format_carries_the_one_conclusion(self, command, make, q1):
         report = make()
         want = report.conclusion_for(q1)
-        assert as_json(report, q1)["conclusion"] == want
-        assert cli.emit_report(report, "tsv", q1).splitlines()[-1] == f"conclusion\t{want}"
-        assert cli.emit_report(report, "text", q1).splitlines()[-1] == f"conclusion: {want}"
+        assert as_json(report, q1, command)["conclusion"] == want
+        tsv, text = (cli.emit_report(command, report, f, q1) for f in ("tsv", "text"))
+        assert tsv.splitlines()[-1] == f"conclusion\t{want}"
+        assert text.splitlines()[-1] == f"conclusion: {want}"
 
     def test_wobble_reports_change_conclusion_at_q1(self):
         for name in ("loop wobble", "arc wobble"):
-            report = REPORTS[name]()
+            report = REPORTS[name][1]()
             assert report.conclusion_for() == CONTRADICTION, name
             assert report.conclusion_for(q1=True) == CONSISTENT, name
             assert not report.ok(), name
